@@ -8,7 +8,6 @@ sum and product.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +43,6 @@ SUM_DOMINANT = "sum-dominant"
 DIFFERENCE_DOMINANT = "difference-dominant"
 BALANCED = "balanced"
 
-_SCAN_CHUNK = 4096
 _BOUND_PRIME_LIMIT = 100_000
 
 
@@ -183,14 +181,13 @@ def dominance_scan(
     a: int,
     n_max: int,
     threshold: Fraction | int | None = None,
-    workers: int = 1,
 ) -> Iterator[DominanceReport]:
     """Reports for every n in [2, n_max] coprime to a, ascending, closed
     forms only.  Moduli sharing a factor with a are skipped silently.
 
     When threshold is given, only reports whose ratio exceeds it are
-    yielded.  The range is processed in fixed chunks whose reports are
-    emitted in ascending order whatever the worker count, so output is
+    yielded.  One serial pass over the range, each report yielded as soon
+    as it is built, so a consumer can stream them and the output order is
     deterministic.
     """
     if n_max < 2:
@@ -198,41 +195,25 @@ def dominance_scan(
     if threshold is not None:
         threshold = Fraction(threshold)
     spf = _spf_sieve(n_max)
-
-    def span_reports(span: tuple[int, int]) -> list[DominanceReport]:
-        out = []
-        for n in range(*span):
-            if math.gcd(a, n) != 1:
-                continue
-            c2 = Fraction(1)
-            breakdown = []
-            m = n
-            while m > 1:
-                p = int(spf[m])
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                r = _ratio_pp(a, p, e)
-                breakdown.append((p, e, r))
-                if r != 1:
-                    c2 *= r
-            if threshold is not None and not c2 > threshold:
-                continue
-            out.append(DominanceReport(a, n, c2, classify(c2), tuple(breakdown)))
-        return out
-
-    spans = [
-        (lo, min(lo + _SCAN_CHUNK, n_max + 1))
-        for lo in range(2, n_max + 1, _SCAN_CHUNK)
-    ]
-    if workers <= 1 or len(spans) == 1:
-        for span in spans:
-            yield from span_reports(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for reports in pool.map(span_reports, spans):
-                yield from reports
+    for n in range(2, n_max + 1):
+        if math.gcd(a, n) != 1:
+            continue
+        c2 = Fraction(1)
+        breakdown = []
+        m = n
+        while m > 1:
+            p = int(spf[m])
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            r = _ratio_pp(a, p, e)
+            breakdown.append((p, e, r))
+            if r != 1:
+                c2 *= r
+        if threshold is not None and not c2 > threshold:
+            continue
+        yield DominanceReport(a, n, c2, classify(c2), tuple(breakdown))
 
 
 def _floor_fraction(f: Fraction, digits: int = 12) -> Fraction:

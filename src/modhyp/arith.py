@@ -27,9 +27,10 @@ __all__ = [
     "sqrt_mod_pp",
 ]
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24
-# (covers 64-bit inputs with a wide margin).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes make Miller-Rabin deterministic for all n below
+# psi_13 ~ 3.3 * 10^24 (Sorenson & Webster, Math. Comp. 86, 2017); the
+# first 12 alone only reach psi_12 ~ 3.2 * 10^23, which they call prime.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 

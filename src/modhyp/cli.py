@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .analysis import (
     CoverageReport,
@@ -97,87 +97,78 @@ def _dec(f: Fraction | float) -> str:
     return f"{float(f):.6f}"
 
 
-def _dominance_rows(r: DominanceReport) -> list[dict[str, str]]:
-    return [
-        {
-            "a": str(r.a),
-            "n": str(r.n),
-            "c2": _rat(r.c2),
-            "c2_decimal": _dec(r.c2),
-            "classification": r.classification,
-        }
-    ]
+# Each builder turns one report into its rows, each row a tuple of values
+# in the column order of _HEADERS for its kind.
 
 
-def _card_rows(rep: CardinalityReport) -> list[dict[str, str]]:
+def _dominance_rows(r: DominanceReport) -> list[tuple]:
+    return [(r.a, r.n, _rat(r.c2), _dec(r.c2), r.classification)]
+
+
+def _card_rows(rep: CardinalityReport) -> list[tuple]:
     s = rep.spec
     return [
-        {
-            "a": str(s.a),
-            "n": str(s.n),
-            "d": str(s.d),
-            "m": str(s.m),
-            "p": str(fc.p),
-            "t": str(fc.t),
-            "count": str(fc.count),
-            "method": fc.method,
-            "total": str(rep.total),
-        }
+        (s.a, s.n, s.d, s.m, fc.p, fc.t, fc.count, fc.method, rep.total)
         for fc in rep.per_factor
     ]
 
 
-def _density_rows(r: DensityReport) -> list[dict[str, str]]:
+def _density_rows(r: DensityReport) -> list[tuple]:
     return [
-        {
-            "a": str(r.a),
-            "x": str(r.x),
-            "threshold": _rat(r.threshold),
-            "eligible_count": str(r.eligible_count),
-            "dominant_count": str(r.dominant_count),
-            "empirical_density": _rat(r.empirical_density),
-            "empirical_decimal": _dec(r.empirical_density),
-            "class_constant": _rat(r.class_constant),
-            "bound_truncated": _rat(r.bound_truncated),
-            "bound_truncated_decimal": _dec(r.bound_truncated),
-            "bound_rigorous": _rat(r.bound_rigorous),
-            "bound_rigorous_decimal": _dec(r.bound_rigorous),
-            "prime_limit": str(r.prime_limit),
-        }
+        (
+            r.a,
+            r.x,
+            _rat(r.threshold),
+            r.eligible_count,
+            r.dominant_count,
+            _rat(r.empirical_density),
+            _dec(r.empirical_density),
+            _rat(r.class_constant),
+            _rat(r.bound_truncated),
+            _dec(r.bound_truncated),
+            _rat(r.bound_rigorous),
+            _dec(r.bound_rigorous),
+            r.prime_limit,
+        )
     ]
 
 
-def _primorial_rows(rep: PrimorialReport) -> list[dict[str, str]]:
+def _primorial_rows(rep: PrimorialReport) -> list[tuple]:
     return [
-        {
-            "a": str(rep.a),
-            "t": str(rep.t),
-            "k": str(row.k),
-            "primorial": str(row.primorial),
-            "ratio_first_power": _rat(row.ratio_first_power),
-            "ratio_first_decimal": _dec(row.ratio_first_power),
-            "ratio_power_t": _rat(row.ratio_power_t),
-            "ratio_power_decimal": _dec(row.ratio_power_t),
-            "loglog": f"{row.loglog:.6f}",
-        }
+        (
+            rep.a,
+            rep.t,
+            row.k,
+            row.primorial,
+            _rat(row.ratio_first_power),
+            _dec(row.ratio_first_power),
+            _rat(row.ratio_power_t),
+            _dec(row.ratio_power_t),
+            f"{row.loglog:.6f}",
+        )
         for row in rep.rows
     ]
 
 
-def _coverage_rows(r: CoverageReport) -> list[dict[str, str]]:
+def _coverage_rows(r: CoverageReport) -> list[tuple]:
     s = r.spec
     return [
-        {
-            "a": str(s.a),
-            "n": str(s.n),
-            "d": str(s.d),
-            "m": str(s.m),
-            "covered": "true" if r.covered else "false",
-            "guaranteed": "true" if r.guaranteed else "false",
-            "missing_count": str(len(r.missing)),
-            "missing": " ".join(str(v) for v in r.missing),
-        }
+        (
+            s.a,
+            s.n,
+            s.d,
+            s.m,
+            "true" if r.covered else "false",
+            "true" if r.guaranteed else "false",
+            len(r.missing),
+            " ".join(str(v) for v in r.missing),
+        )
     ]
+
+
+def _triple_rows(r: tuple[int, int, int, int, tuple[int, int, int]]) -> list[tuple]:
+    b, a, p, t, triple = r
+    return [(b, a, p, t, p**t, *triple)]
 
 
 _BUILDERS = {
@@ -186,29 +177,41 @@ _BUILDERS = {
     "density": _density_rows,
     "primorial": _primorial_rows,
     "coverage": _coverage_rows,
+    "triple": _triple_rows,
 }
 
 
-def write_reports(reports: Iterable, fmt: str, kind: str) -> str:
-    """Serialize a homogeneous stream of reports as CSV or a JSON array.
+def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
+    """Stream a homogeneous sequence of reports to out as CSV or a JSON array.
 
-    CSV uses the fixed header for the report kind; an empty stream gives
-    a header-only CSV (or an empty JSON array).  Row order follows input
-    order, so output is byte-deterministic.
+    Reports are consumed one at a time and each row is written as soon as
+    it is built, so a generator of reports is never held in memory.  CSV
+    starts with the fixed header for the report kind.  JSON is an array of
+    objects keyed by that header, every value a string, byte-identical to
+    json.dumps of the list of those objects with indent=2, plus a newline.
+    An empty stream gives a header-only CSV (or "[]").  Row order follows
+    input order, so output is byte-deterministic.  A "triple" report is the
+    tuple (b, a, p, t, (x1, x2, x3)) of a solve_sum_product call.
     """
     header = _HEADERS[kind]
     build = _BUILDERS[kind]
-    rows = [row for rep in reports for row in build(rep)]
+    rows = (map(str, row) for rep in reports for row in build(rep))
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
+        writer.writerows(rows)
+    elif fmt == "json":
+        # the layout json.dumps gives the whole list at indent=2, written
+        # one object at a time; json.dumps escapes every key and value
+        keys = [f"    {json.dumps(k)}: " for k in header]
+        sep = "[\n"
         for row in rows:
-            writer.writerow([row[k] for k in header])
-        return buf.getvalue()
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    raise ValueError(f"unsupported report format {fmt!r}")
+            body = ",\n".join(k + json.dumps(v) for k, v in zip(keys, row))
+            out.write(f"{sep}  {{\n{body}\n  }}")
+            sep = ",\n"
+        out.write("[]\n" if sep == "[\n" else "\n]\n")
+    else:
+        raise ValueError(f"unsupported report format {fmt!r}")
 
 
 def render_svg(points: Iterable[tuple[int, int]], n: int) -> str:
@@ -265,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: MODHYP_THREADS or the hardware count)",
+        help="worker threads of the enumeration oracle (enumerate, card with "
+        "d >= 3, coverage); scan and density run on one thread "
+        "(default: MODHYP_THREADS or the hardware count)",
     )
     common.add_argument(
         "--budget",
@@ -401,7 +406,7 @@ def _cmd_card(args: argparse.Namespace, threads: int) -> int:
             print(f"{fc.p}^{fc.t}: {fc.count}  [{fc.method}]")
         print(f"total {rep.total}")
     else:
-        sys.stdout.write(write_reports([rep], args.format, "card"))
+        write_reports([rep], args.format, "card", sys.stdout)
     return 0
 
 
@@ -412,7 +417,7 @@ def _cmd_ratio(args: argparse.Namespace, threads: int) -> int:
         for p, t, r in rep.factor_breakdown:
             print(f"  {p}^{t}: {_rat(r)}")
     else:
-        sys.stdout.write(write_reports([rep], args.format, "dominance"))
+        write_reports([rep], args.format, "dominance", sys.stdout)
     return 0
 
 
@@ -481,19 +486,12 @@ def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, threads: int) -> int:
-    reports = dominance_scan(args.a, args.max_n, threshold=args.L, workers=threads)
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_HEADERS["dominance"])
-        for rep in reports:
-            row = _dominance_rows(rep)[0]
-            writer.writerow([row[k] for k in _HEADERS["dominance"]])
-    elif args.format == "json":
-        rows = [_dominance_rows(rep)[0] for rep in reports]
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
-    else:
+    reports = dominance_scan(args.a, args.max_n, threshold=args.L)
+    if args.format == "table":
         for rep in reports:
             print(f"n={rep.n} c2={_rat(rep.c2)} ({_dec(rep.c2)}) {rep.classification}")
+    else:
+        write_reports(reports, args.format, "dominance", sys.stdout)
     skipped = sum(1 for n in range(2, args.max_n + 1) if math.gcd(args.a, n) != 1)
     print(f"skipped {skipped} moduli sharing a factor with a={args.a}", file=sys.stderr)
     return 0
@@ -512,7 +510,7 @@ def _cmd_density(args: argparse.Namespace, threads: int) -> int:
             f"(primes up to {rep.prime_limit})"
         )
     else:
-        sys.stdout.write(write_reports([rep], args.format, "density"))
+        write_reports([rep], args.format, "density", sys.stdout)
     return 0
 
 
@@ -526,7 +524,7 @@ def _cmd_primorial(args: argparse.Namespace, threads: int) -> int:
                 f"({_dec(row.ratio_power_t)}) loglog={row.loglog:.6f}"
             )
     else:
-        sys.stdout.write(write_reports([rep], args.format, "primorial"))
+        write_reports([rep], args.format, "primorial", sys.stdout)
     return 0
 
 
@@ -539,7 +537,7 @@ def _cmd_coverage(args: argparse.Namespace, threads: int) -> int:
         if rep.missing:
             print("missing: " + " ".join(str(v) for v in rep.missing))
     else:
-        sys.stdout.write(write_reports([rep], args.format, "coverage"))
+        write_reports([rep], args.format, "coverage", sys.stdout)
     return 0
 
 
@@ -551,24 +549,8 @@ def _cmd_solve3(args: argparse.Namespace, threads: int) -> int:
         print(f"x1={x1} x2={x2} x3={x3} (mod {q})")
         print(f"sum={sum(triple) % q} product={x1 * x2 * x3 % q}")
     else:
-        row = {
-            "b": str(args.b),
-            "a": str(args.a),
-            "p": str(args.p),
-            "t": str(args.t),
-            "modulus": str(q),
-            "x1": str(triple[0]),
-            "x2": str(triple[1]),
-            "x3": str(triple[2]),
-        }
-        if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(_HEADERS["triple"])
-            writer.writerow([row[k] for k in _HEADERS["triple"]])
-            sys.stdout.write(buf.getvalue())
-        else:
-            sys.stdout.write(json.dumps([row], indent=2) + "\n")
+        report = (args.b, args.a, args.p, args.t, triple)
+        write_reports([report], args.format, "triple", sys.stdout)
     return 0
 
 

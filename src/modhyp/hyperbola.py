@@ -129,7 +129,7 @@ class ResidueSet:
         return self._card
 
     def values(self) -> list[int]:
-        return list(self)
+        return np.flatnonzero(self.to_mask()).tolist()
 
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.modulus, ~self._bits & ((1 << self.modulus) - 1))
@@ -149,11 +149,7 @@ class ResidueSet:
         return 0 <= r < self.modulus and (self._bits >> r) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(self.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueSet):
@@ -247,14 +243,14 @@ def signed_sumset(
     _checked_tuple_count(spec, budget)
     units, inv = _unit_tables(spec.n)
     spans = [(lo, min(lo + _CHUNK, len(units))) for lo in range(0, len(units), _CHUNK)]
+    mask = np.zeros(spec.n, dtype=bool)
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            masks = list(
-                pool.map(lambda s: _chunk_mask(spec, units, inv, *s), spans)
-            )
-        mask = np.logical_or.reduce(masks)
+            # fold each chunk mask in as map yields it, rather than holding
+            # one n-byte mask per chunk until the last one is done
+            for chunk in pool.map(lambda s: _chunk_mask(spec, units, inv, *s), spans):
+                mask |= chunk
     else:
-        mask = np.zeros(spec.n, dtype=bool)
         for lo, hi in spans:
             mask |= _chunk_mask(spec, units, inv, lo, hi)
             if mask.all():

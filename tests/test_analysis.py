@@ -58,12 +58,6 @@ def test_scan_agrees_with_oracle():
         assert rep.classification == classify(Fraction(len(s), len(d)))
 
 
-def test_scan_workers_identical():
-    serial = list(dominance_scan(4, 9000, workers=1))
-    assert list(dominance_scan(4, 9000, workers=4)) == serial
-    assert list(dominance_scan(4, 9000, workers=16)) == serial
-
-
 def test_two_prime_remark_cases():
     # exponent 1 on the larger prime keeps the conclusion; exponent 1 on
     # the smaller prime reverses both inequalities

@@ -293,3 +293,10 @@ def test_is_prime_edges():
     assert not is_prime(2**31)
     carmichael = 561
     assert not is_prime(carmichael)
+
+
+def test_psi12_is_composite():
+    # psi_12: the least strong pseudoprime to the first 12 prime bases
+    psi12 = 318665857834031151167461
+    assert is_prime(psi12) is False
+    assert factorize(psi12).factors == ((399165290221, 1), (798330580441, 1))

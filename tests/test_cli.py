@@ -8,7 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from modhyp.analysis import dominance_report
+from modhyp.analysis import (
+    coverage_check,
+    density_report,
+    dominance_report,
+    primorial_series,
+    solve_sum_product,
+)
 from modhyp.arith import euler_phi
 from modhyp.cardinality import card_signed_sumset
 from modhyp.cli import render_svg, resolve_threads, run, write_reports
@@ -151,9 +157,146 @@ def test_scan_json_parses():
 # ---------------------------------------------------------------- write_reports
 
 
-def test_write_reports_empty_csv_has_header():
-    assert write_reports([], "csv", "dominance") == "a,n,c2,c2_decimal,classification\n"
-    assert write_reports([], "json", "dominance") == "[]\n"
+def _rat(f):
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _dec(f):
+    return f"{float(f):.6f}"
+
+
+# Reference rows for every report kind: a list of dicts of strings per
+# report, the keys in column order, as the writer's output must read.
+_REFERENCE_ROWS = {
+    "dominance": lambda r: [
+        {
+            "a": str(r.a),
+            "n": str(r.n),
+            "c2": _rat(r.c2),
+            "c2_decimal": _dec(r.c2),
+            "classification": r.classification,
+        }
+    ],
+    "card": lambda r: [
+        {
+            "a": str(r.spec.a),
+            "n": str(r.spec.n),
+            "d": str(r.spec.d),
+            "m": str(r.spec.m),
+            "p": str(fc.p),
+            "t": str(fc.t),
+            "count": str(fc.count),
+            "method": fc.method,
+            "total": str(r.total),
+        }
+        for fc in r.per_factor
+    ],
+    "density": lambda r: [
+        {
+            "a": str(r.a),
+            "x": str(r.x),
+            "threshold": _rat(r.threshold),
+            "eligible_count": str(r.eligible_count),
+            "dominant_count": str(r.dominant_count),
+            "empirical_density": _rat(r.empirical_density),
+            "empirical_decimal": _dec(r.empirical_density),
+            "class_constant": _rat(r.class_constant),
+            "bound_truncated": _rat(r.bound_truncated),
+            "bound_truncated_decimal": _dec(r.bound_truncated),
+            "bound_rigorous": _rat(r.bound_rigorous),
+            "bound_rigorous_decimal": _dec(r.bound_rigorous),
+            "prime_limit": str(r.prime_limit),
+        }
+    ],
+    "primorial": lambda r: [
+        {
+            "a": str(r.a),
+            "t": str(r.t),
+            "k": str(row.k),
+            "primorial": str(row.primorial),
+            "ratio_first_power": _rat(row.ratio_first_power),
+            "ratio_first_decimal": _dec(row.ratio_first_power),
+            "ratio_power_t": _rat(row.ratio_power_t),
+            "ratio_power_decimal": _dec(row.ratio_power_t),
+            "loglog": f"{row.loglog:.6f}",
+        }
+        for row in r.rows
+    ],
+    "coverage": lambda r: [
+        {
+            "a": str(r.spec.a),
+            "n": str(r.spec.n),
+            "d": str(r.spec.d),
+            "m": str(r.spec.m),
+            "covered": "true" if r.covered else "false",
+            "guaranteed": "true" if r.guaranteed else "false",
+            "missing_count": str(len(r.missing)),
+            "missing": " ".join(str(v) for v in r.missing),
+        }
+    ],
+    "triple": lambda r: [
+        {
+            "b": str(r[0]),
+            "a": str(r[1]),
+            "p": str(r[2]),
+            "t": str(r[3]),
+            "modulus": str(r[2] ** r[3]),
+            "x1": str(r[4][0]),
+            "x2": str(r[4][1]),
+            "x3": str(r[4][2]),
+        }
+    ],
+}
+
+
+def _sample_reports(kind):
+    if kind == "dominance":
+        return [dominance_report(11, n) for n in (441, 25, 2)]
+    if kind == "card":
+        specs = [HyperbolaSpec(2, 2, 1, 360), HyperbolaSpec(2, 1, 5, 8), HyperbolaSpec(3, 3, 1, 35)]
+        return [card_signed_sumset(s) for s in specs]
+    if kind == "density":
+        return [
+            density_report(4, 500),
+            density_report(11, 300, threshold=Fraction(3, 2)),
+            density_report(3, 200, prime_limit=1000),
+        ]
+    if kind == "primorial":
+        return [primorial_series(4, 2), primorial_series(25, 3, t=3), primorial_series(4, 1)]
+    if kind == "coverage":
+        specs = [HyperbolaSpec(3, 3, 1, 3), HyperbolaSpec(3, 3, 1, 11), HyperbolaSpec(3, 2, 1, 35)]
+        return [coverage_check(s) for s in specs]
+    args = [(0, 1, 11, 3), (5, 7, 13, 1), (-4, 2, 17, 2)]
+    return [(*a, solve_sum_product(*a)) for a in args]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize(
+    "kind", ["dominance", "card", "density", "primorial", "coverage", "triple"]
+)
+def test_write_reports_streams_expected_bytes(kind, count):
+    samples = _sample_reports(kind)
+    header = list(_REFERENCE_ROWS[kind](samples[0])[0])
+    rows = [row for rep in samples[:count] for row in _REFERENCE_ROWS[kind](rep)]
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[k] for k in header] for row in rows)
+
+    out = io.StringIO()
+    # a generator: the writer must consume the reports in a single pass
+    assert write_reports(iter(samples[:count]), "csv", kind, out) is None
+    assert out.getvalue() == expected_csv.getvalue()
+    out = io.StringIO()
+    write_reports(iter(samples[:count]), "json", kind, out)
+    assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+
+
+def test_write_reports_rejects_unknown_format():
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        write_reports([], "xml", "dominance", out)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------- enumerate
