@@ -1,9 +1,9 @@
 """Exact modular arithmetic kernels.
 
-Factorization, Chinese-remainder recombination, Legendre symbols,
-squareness tests and square roots modulo prime powers, and the closed-form
-count of distinct squares modulo a prime power.  Everything is exact
-integer arithmetic and every algorithm is deterministic.
+Factorization, Legendre symbols, squareness tests and square roots modulo
+prime powers, and the closed-form count of distinct squares modulo a prime
+power.  Everything is exact integer arithmetic and every algorithm is
+deterministic.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "PrimeFactorization",
-    "ResidueClass",
     "count_squares_mod_pp",
-    "crt_combine",
     "euler_phi",
     "factorize",
     "is_prime",
@@ -171,44 +168,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)
     return out
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """An integer residue in [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"{self.value} is not reduced modulo {self.modulus}")
-
-    @classmethod
-    def reduce(cls, value: int, modulus: int) -> "ResidueClass":
-        return cls(value % modulus, modulus)
-
-
-def crt_combine(residues: Iterable[ResidueClass]) -> ResidueClass:
-    """Combine congruences with pairwise-coprime moduli into one.
-
-    Returns the unique residue modulo the product of the moduli that is
-    congruent to every input.  An empty input yields 0 mod 1.
-
-    Raises:
-        ValueError: if the moduli are not pairwise coprime.
-    """
-    value, modulus = 0, 1
-    for r in residues:
-        g = math.gcd(modulus, r.modulus)
-        if g != 1:
-            raise ValueError(f"moduli are not pairwise coprime (shared factor {g})")
-        shift = (r.value - value) * pow(modulus, -1, r.modulus) % r.modulus
-        value += modulus * shift
-        modulus *= r.modulus
-    return ResidueClass(value % modulus, modulus)
 
 
 def legendre(a: int, p: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -361,26 +361,28 @@ def _cmd_enumerate(args: argparse.Namespace, threads: int) -> int:
     m = args.m if args.m is not None else args.d
     spec = HyperbolaSpec(args.d, m, args.a, args.n)
     if args.points:
-        pts = list(enumerate_points(spec, budget=args.budget))
+        pts = enumerate_points(spec, budget=args.budget)
+        pts = itertools.chain([next(pts)], pts)  # the budget check precedes any output
         if args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
+            writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow([f"x{i}" for i in range(1, spec.d + 1)])
             writer.writerows(pts)
-            sys.stdout.write(buf.getvalue())
         elif args.format == "json":
-            sys.stdout.write(json.dumps([list(pt) for pt in pts]) + "\n")
+            # json.dumps of the whole list, a batch at a time, outer brackets cut
+            sep = "["
+            while batch := list(itertools.islice(pts, 4096)):
+                sys.stdout.write(sep + json.dumps(batch)[1:-1])
+                sep = ", "
+            sys.stdout.write("]\n")
         else:
             for pt in pts:
                 print(" ".join(str(c) for c in pt))
         return 0
     attained = signed_sumset(spec, budget=args.budget, workers=threads)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["residue"])
         writer.writerows([v] for v in attained)
-        sys.stdout.write(buf.getvalue())
     elif args.format == "json":
         payload = {
             "d": spec.d,

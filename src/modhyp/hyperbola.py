@@ -6,16 +6,24 @@ those point sets and the exact residue sets of their signed coordinate
 sums; it is the ground truth the closed-form counting code is checked
 against, so it never takes shortcuts through any counting identity.
 
-Enumeration partitions the leading-coordinate range into fixed-size
-chunks; each chunk accumulates a private membership mask and the masks
-merge by union, so results are deterministic and independent of worker
-scheduling.
+Every point is formed in one kernel, ``_fibre``.  Fixing the head
+x_1, ..., x_{d-2} leaves the planar hyperbola x_{d-1} x_d = c with
+c = a (x_1 ... x_{d-2})^-1, whose points are (x, c x^-1) over all units x,
+so the hyperbola is a union of planar fibres.  Tuples are numbered
+lexicographically and every entry point walks them in blocks of at most
+``_BLOCK`` cells (one per point or table entry), whole fibres at a time
+where they fit, so memory is bounded by the block, not the hyperbola.
+
+``signed_sumset`` stops once a block completes the residue set.  With more
+than one worker it gives each span of ``_SPAN`` first coordinates a private
+mask in a pool of at most one thread per span and per CPU; masks merge by
+union, so the result is the same for any worker count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,12 +43,15 @@ __all__ = [
     "sum_diff_cardinalities",
     "sum_diff_sets",
     "sum_diff_tables",
-    "unreduced_sum_diff",
 ]
 
 DEFAULT_BUDGET = 10**8
 _TABLE_LIMIT = 8192
-_CHUNK = 2048
+_SPAN = 2048  # units of the first coordinate per pool task
+# Cells per kernel call.  Fibres are whole within a block, so the early exit
+# of signed_sumset is checked every _BLOCK // phi(n) heads: larger blocks
+# fire it late on d >= 3, smaller ones pay more numpy calls per cell.
+_BLOCK = 1 << 14
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -134,9 +145,6 @@ class ResidueSet:
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.modulus, ~self._bits & ((1 << self.modulus) - 1))
 
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        return self.__or__(other)
-
     def __or__(self, other: "ResidueSet") -> "ResidueSet":
         if self.modulus != other.modulus:
             raise ValueError("union requires matching moduli")
@@ -165,12 +173,15 @@ class ResidueSet:
 
 @lru_cache(maxsize=192)
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned (units, inverses) arrays for modulus n; read-only."""
-    r = np.arange(n, dtype=np.int64)
+    """Aligned (units, inverses) arrays for modulus n; read-only.
+
+    int32 while a product of two residues fits it (n^2 < 2^31), which
+    halves the memory traffic of the kernel; int64 above.
+    """
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    r = np.arange(n, dtype=dtype)
     units = r[np.gcd(r, n) == 1]
-    inv = np.fromiter(
-        (pow(int(u), -1, n) for u in units), dtype=np.int64, count=len(units)
-    )
+    inv = np.fromiter((pow(int(u), -1, n) for u in units), dtype=dtype, count=len(units))
     units.setflags(write=False)
     inv.setflags(write=False)
     return units, inv
@@ -183,6 +194,57 @@ def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
     return count
 
 
+def _mod(v: np.ndarray, n: int) -> np.ndarray:
+    # v % n, in place: numpy divides an array by a scalar with a multiply
+    # and a shift, but takes % with one hardware division per element
+    v -= n * (v // n)
+    return v
+
+
+def _fibre(
+    n: int, c0: np.ndarray, signs: tuple[int, ...], lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Constants c and signed sums b of the tuples lo..hi-1 extending the rows of c0.
+
+    Tuple j is (i, x_1, ..., x_k) in lexicographic order, for a row i of c0
+    and k = len(signs) units x_l; its constant is c0[i] * (x_1 ... x_k)^-1
+    and its sum is s_1 x_1 + ... + s_k x_k.  The tuples are built one
+    coordinate at a time: the l-th coordinate runs over the planar fibre
+    (x, c x^-1) of each (l-1)-tuple, whose constant c it divides by x.
+    """
+    units, inv = _unit_tables(n)
+    phi = len(units)
+    ranges = [(lo, hi)]  # the tuples needed at each length, longest first
+    for _ in signs:
+        lo, hi = ranges[-1]
+        ranges.append((lo // phi, (hi - 1) // phi + 1))
+    first, last = ranges.pop()
+    c, b = c0[first:last], np.zeros(last - first, dtype=units.dtype)
+    for s, (lo, hi) in zip(signs, reversed(ranges)):
+        wanted = slice(lo - first * phi, hi - first * phi)
+        if len(c) == 1:  # one parent: extend it by only the units in range
+            x, x_inv, cut = units[wanted], inv[wanted], slice(None)
+        else:
+            x, x_inv, cut = units, inv, wanted
+        c = _mod(c[:, None] * x_inv, n).ravel()[cut]
+        b = (b[:, None] + s * x).ravel()[cut]
+        first = lo
+    return c, b
+
+
+def _blocks(
+    n: int, c0: list[int] | np.ndarray, signs: tuple[int, ...], lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(start, c, b) of ``_fibre`` over tuples lo..hi-1, a block at a time: as
+    many whole fibres of phi(n) tuples as fit in ``_BLOCK``, else ``_BLOCK``
+    tuples of one fibre.  lo starts a fibre or lies in the only one."""
+    units, _ = _unit_tables(n)
+    c0 = np.asarray(c0, dtype=units.dtype)
+    step = _BLOCK // len(units) * len(units) or _BLOCK
+    for start in range(lo, hi, step):
+        yield start, *_fibre(n, c0, signs, start, min(start + step, hi))
+
+
 def enumerate_points(
     spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
@@ -192,39 +254,22 @@ def enumerate_points(
     coordinate is a times the inverse of their product.  The number of
     leading tuples is phi(n)^(d-1) and must fit the budget.
     """
-    _checked_tuple_count(spec, budget)
-    n, a, d = spec.n, spec.a, spec.d
-    units, inv = _unit_tables(n)
-    units_l = units.tolist()
-    inv_of = dict(zip(units_l, inv.tolist()))
-    for prefix in itertools.product(units_l, repeat=d - 1):
-        acc = 1
-        for x in prefix:
-            acc = acc * x % n
-        yield (*prefix, a * inv_of[acc] % n)
+    count = _checked_tuple_count(spec, budget)
+    units, _ = _unit_tables(spec.n)
+    for start, last, _ in _blocks(spec.n, [spec.a], spec.signs[:-1], 0, count):
+        rest, lead = np.arange(start, start + len(last)), []
+        for _ in range(spec.d - 1):  # base-phi digits of the tuple number
+            rest, digit = np.divmod(rest, len(units))
+            lead.append(units[digit].tolist())
+        yield from zip(*reversed(lead), last.tolist())
 
 
-def _chunk_mask(
-    spec: HyperbolaSpec, units: np.ndarray, inv: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    n, a, d = spec.n, spec.a, spec.d
-    signs = spec.signs
+def _span_mask(spec: HyperbolaSpec, lo: int, hi: int) -> np.ndarray:
+    """Mask of the signed sums of the points whose leading tuple is in lo..hi-1."""
+    n, signs = spec.n, spec.signs
     mask = np.zeros(n, dtype=bool)
-    if d == 2:
-        x = units[lo:hi]
-        y = a * inv[lo:hi] % n
-        mask[(signs[0] * x + signs[1] * y) % n] = True
-        return mask
-    lead = units[lo:hi].tolist()
-    middle = [units.tolist()] * (d - 3)
-    for head in itertools.product(lead, *middle):
-        acc, base = 1, 0
-        for s, x in zip(signs, head):
-            acc = acc * x % n
-            base += s * x
-        c = a * pow(acc, -1, n) % n
-        last = c * inv % n
-        mask[(base + signs[d - 2] * units + signs[d - 1] * last) % n] = True
+    for _, c, b in _blocks(n, [spec.a], signs[:-1], lo, hi):
+        mask[_mod(b + signs[-1] * c, n)] = True
         if mask.all():
             break
     return mask
@@ -235,26 +280,24 @@ def signed_sumset(
 ) -> ResidueSet:
     """The exact residue set of signed coordinate sums over the hyperbola.
 
-    Chunk boundaries are fixed, private chunk masks merge by union, and
+    Span boundaries are fixed, private span masks merge by union, and
     union is commutative, so the result is byte-identical for any worker
     count.  Stops early once every residue is attained (the set can only
     grow, so the answer is already final).
     """
-    _checked_tuple_count(spec, budget)
-    units, inv = _unit_tables(spec.n)
-    spans = [(lo, min(lo + _CHUNK, len(units))) for lo in range(0, len(units), _CHUNK)]
+    count = _checked_tuple_count(spec, budget)
+    phi = len(_unit_tables(spec.n)[0])
+    per_unit = count // phi  # leading tuples per value of the first coordinate
+    spans = [(lo * per_unit, min(lo + _SPAN, phi) * per_unit) for lo in range(0, phi, _SPAN)]
+    workers = min(workers, len(spans), os.cpu_count() or 1)
+    if workers < 2:
+        return ResidueSet.from_mask(_span_mask(spec, 0, count))
     mask = np.zeros(spec.n, dtype=bool)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # fold each chunk mask in as map yields it, rather than holding
-            # one n-byte mask per chunk until the last one is done
-            for chunk in pool.map(lambda s: _chunk_mask(spec, units, inv, *s), spans):
-                mask |= chunk
-    else:
-        for lo, hi in spans:
-            mask |= _chunk_mask(spec, units, inv, lo, hi)
-            if mask.all():
-                break
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # fold each span mask in as map yields it, rather than holding
+        # one n-byte mask per span until the last one is done
+        for span in pool.map(lambda s: _span_mask(spec, *s), spans):
+            mask |= span
     return ResidueSet.from_mask(mask)
 
 
@@ -263,14 +306,37 @@ def sum_diff_sets(
 ) -> tuple[ResidueSet, ResidueSet]:
     """Reduced planar sumset and difference set, sharing one enumeration pass."""
     spec = HyperbolaSpec(2, 2, a, n)
-    _checked_tuple_count(spec, budget)
-    units, inv = _unit_tables(n)
-    y = spec.a * inv % n
+    count = _checked_tuple_count(spec, budget)
     smask = np.zeros(n, dtype=bool)
-    smask[(units + y) % n] = True
     dmask = np.zeros(n, dtype=bool)
-    dmask[(units - y) % n] = True
+    for _, y, x in _blocks(n, [spec.a], (1,), 0, count):
+        smask[(x + y) % n] = True
+        dmask[(x - y) % n] = True
     return ResidueSet.from_mask(smask), ResidueSet.from_mask(dmask)
+
+
+def _check_table_modulus(n: int) -> None:
+    if n < 2 or n > _TABLE_LIMIT:
+        raise ValueError(f"n must be in [2, {_TABLE_LIMIT}]")
+
+
+def _table_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(units a, masks) for consecutive blocks of units a: masks[0, i] is the
+    sumset of a[i] and masks[1, i] its difference set."""
+    units, _ = _unit_tables(n)
+    phi = len(units)
+    for start, y, x in _blocks(n, units, (1,), 0, phi * phi):
+        rows = len(y) // phi
+        # sums x + y lie in [0, 2n) and shifted differences x - y + n in
+        # (0, 2n): mark both in double-width rows, then fold those modulo n
+        marks = np.zeros((2, rows, 2 * n), dtype=bool)
+        at = x.reshape(rows, phi) + np.arange(0, rows * 2 * n, 2 * n)[:, None]
+        y = y.reshape(rows, phi).astype(np.int64)
+        marks.reshape(-1)[at + y] = True
+        at += rows * 2 * n + n
+        at -= y
+        marks.reshape(-1)[at] = True
+        yield units[start // phi :][:rows], marks[..., :n] | marks[..., n:]
 
 
 def sum_diff_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,48 +345,24 @@ def sum_diff_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Row a of S marks the reduced coordinate sums over the hyperbola of a
     (D likewise for differences), filled by enumerating its points
     (x, a * x^-1) over all units x.  Rows of non-units stay empty.  Each
-    table is n*n booleans, so n is capped at a desk-scale limit.
+    table is n*n booleans, filled a block of n-wide rows at a time with no
+    wider copy, so n is capped at a desk-scale limit.
     """
-    if n < 2 or n > _TABLE_LIMIT:
-        raise ValueError(f"n must be in [2, {_TABLE_LIMIT}]")
-    units64, inv64 = _unit_tables(n)
-    units = units64.astype(np.int32)
-    inv = inv64.astype(np.int32)
-    # row at a is filled in one pass over the points (x, a * x^-1); rows are
-    # double width so sums land in [2, 2n-2] and shifted differences in
-    # [1, 2n) without any wrap fix-up, then one fold reduces them modulo n
-    s = np.zeros((n, 2 * n), dtype=bool)
-    d = np.zeros((n, 2 * n), dtype=bool)
-    for a in units.tolist():
-        y = a * inv % n
-        s[a][units + y] = True
-        d[a][(units - y) + n] = True
-    s[:, :n] |= s[:, n:]
-    d[:, :n] |= d[:, n:]
-    return np.ascontiguousarray(s[:, :n]), np.ascontiguousarray(d[:, :n])
+    _check_table_modulus(n)
+    tables = np.zeros((2, n, n), dtype=bool)
+    for a, masks in _table_blocks(n):
+        tables[:, a] = masks
+    return tables[0], tables[1]
 
 
 def sum_diff_cardinalities(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|sumset| and |difference set| for every unit a (0 at non-units)."""
-    s, d = sum_diff_tables(n)
-    return s.sum(axis=1, dtype=np.int64), d.sum(axis=1, dtype=np.int64)
+    """|sumset| and |difference set| for every unit a (0 at non-units).
 
-
-def unreduced_sum_diff(
-    a: int, n: int, budget: int = DEFAULT_BUDGET
-) -> tuple[set[int], set[int]]:
-    """Integer (unreduced) coordinate sums and differences of the planar hyperbola.
-
-    Sums lie in [2, 2n-2] and differences in [-(n-2), n-2]; no reduction
-    modulo n is applied.
+    The rows are counted a block at a time and no table is kept, so memory
+    is O(n).
     """
-    spec = HyperbolaSpec(2, 2, a, n)
-    _checked_tuple_count(spec, budget)
-    units, inv = _unit_tables(n)
-    sums: set[int] = set()
-    diffs: set[int] = set()
-    for x, v in zip(units.tolist(), inv.tolist()):
-        y = spec.a * v % n
-        sums.add(x + y)
-        diffs.add(x - y)
-    return sums, diffs
+    _check_table_modulus(n)
+    counts = np.zeros((2, n), dtype=np.int64)
+    for a, masks in _table_blocks(n):
+        counts[:, a] = masks.sum(axis=2)
+    return counts[0], counts[1]

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from modhyp.arith import (
     PrimeFactorization,
-    ResidueClass,
     count_squares_mod_pp,
-    crt_combine,
     euler_phi,
     factorize,
     is_prime,
@@ -99,45 +97,6 @@ def test_euler_phi():
     assert euler_phi(2304) == 768
     for n in range(2, 200):
         assert euler_phi(n) == sum(1 for a in range(1, n) if math.gcd(a, n) == 1)
-
-
-# ---------------------------------------------------------------- crt
-
-
-def test_crt_examples():
-    assert crt_combine([ResidueClass(1, 4), ResidueClass(2, 9)]) == ResidueClass(29, 36)
-    assert crt_combine([ResidueClass(0, 5)]) == ResidueClass(0, 5)
-    assert crt_combine(
-        [ResidueClass(1, 2), ResidueClass(1, 3), ResidueClass(1, 5)]
-    ) == ResidueClass(1, 30)
-
-
-def test_crt_rejects_noncoprime():
-    with pytest.raises(ValueError):
-        crt_combine([ResidueClass(1, 4), ResidueClass(3, 6)])
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from([3, 4, 5, 7, 11, 13, 16, 27]), min_size=1, max_size=4, unique=True), st.randoms(use_true_random=False))
-def test_crt_satisfies_all_congruences(moduli, rng):
-    # keep only pairwise coprime moduli
-    chosen = []
-    for m in moduli:
-        if all(math.gcd(m, c) == 1 for c in chosen):
-            chosen.append(m)
-    residues = [ResidueClass(rng.randrange(m), m) for m in chosen]
-    combined = crt_combine(residues)
-    assert combined.modulus == math.prod(chosen)
-    for r in residues:
-        assert combined.value % r.modulus == r.value
-
-
-def test_residue_class_validates():
-    with pytest.raises(ValueError):
-        ResidueClass(5, 5)
-    with pytest.raises(ValueError):
-        ResidueClass(-1, 5)
-    assert ResidueClass.reduce(-1, 5) == ResidueClass(4, 5)
 
 
 # ---------------------------------------------------------------- legendre

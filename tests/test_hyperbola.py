@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import modhyp.hyperbola
 from modhyp.arith import euler_phi, is_square_mod_pp, primes_up_to
 from modhyp.hyperbola import (
     EnumerationBudgetError,
@@ -15,7 +17,6 @@ from modhyp.hyperbola import (
     sum_diff_cardinalities,
     sum_diff_sets,
     sum_diff_tables,
-    unreduced_sum_diff,
 )
 
 
@@ -111,6 +112,7 @@ def test_enumerate_order_and_count():
         HyperbolaSpec(2, 2, 3, 20),
         HyperbolaSpec(3, 1, 2, 9),
         HyperbolaSpec(4, 2, 1, 6),
+        HyperbolaSpec(1200, 3, 1, 2),  # one unit: every dimension fits the budget
     ]:
         pts = list(enumerate_points(spec))
         assert len(pts) == euler_phi(spec.n) ** (spec.d - 1)
@@ -150,6 +152,11 @@ def test_signed_sumset_matches_naive():
     cases.append(HyperbolaSpec(4, 2, 1, 9))
     cases.append(HyperbolaSpec(4, 0, 5, 6))
     cases.append(HyperbolaSpec(5, 3, 1, 4))
+    cases.append(HyperbolaSpec(1200, 401, 1, 2))
+    # n = 339: no m attains every residue, so no block exits early;
+    # n = 331 (prime) is covered, so the scan stops after a few blocks
+    cases.extend(HyperbolaSpec(3, m, 1, 339) for m in range(4))
+    cases.append(HyperbolaSpec(3, 2, 5, 331))
     for spec in cases:
         assert set(signed_sumset(spec)) == naive_signed_sumset(spec), spec
 
@@ -159,6 +166,38 @@ def test_signed_sumset_workers_deterministic():
     base = signed_sumset(spec, workers=1)
     assert signed_sumset(spec, workers=3) == base
     assert signed_sumset(spec, workers=8) == base
+
+
+def test_signed_sumset_pool_is_clamped(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(modhyp.hyperbola, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(modhyp.hyperbola.os, "cpu_count", lambda: 4)
+    spec = HyperbolaSpec(2, 1, 3, 10007)  # 10006 units: 5 spans
+    base = signed_sumset(spec, workers=1)
+    assert sizes == []
+    assert signed_sumset(spec, workers=5000) == base
+    assert signed_sumset(spec, workers=3) == base
+    assert sizes == [4, 3]
+    monkeypatch.setattr(modhyp.hyperbola.os, "cpu_count", lambda: 64)
+    assert signed_sumset(spec, workers=5000) == base
+    assert sizes[-1] == 5
+    monkeypatch.setattr(modhyp.hyperbola.os, "cpu_count", lambda: None)
+    assert signed_sumset(spec, workers=5000) == base
+    assert sizes == [4, 3, 5]
 
 
 def test_signed_sumset_budget():
@@ -237,7 +276,8 @@ def test_complement_symmetry():
 
 
 def test_tables_match_per_a_oracle():
-    for n in [2, 3, 5, 8, 12, 45, 60]:
+    # 1031 has 1030 units, 15 rows to a block: the last block holds 10
+    for n in [2, 3, 5, 8, 12, 45, 60, 1031]:
         s_tab, d_tab = sum_diff_tables(n)
         s_card, d_card = sum_diff_cardinalities(n)
         for a in range(n):
@@ -251,23 +291,19 @@ def test_tables_match_per_a_oracle():
 
 
 def test_tables_reject_out_of_range():
-    with pytest.raises(ValueError):
-        sum_diff_tables(1)
-    with pytest.raises(ValueError):
-        sum_diff_tables(10**6)
+    for build in (sum_diff_tables, sum_diff_cardinalities):
+        with pytest.raises(ValueError):
+            build(1)
+        with pytest.raises(ValueError):
+            build(10**6)
 
 
-# ---------------------------------------------------------------- unreduced
-
-
-def test_unreduced_examples():
-    assert unreduced_sum_diff(1, 5) == ({2, 5, 8}, {-1, 0, 1})
-    assert unreduced_sum_diff(4, 5) == ({4, 5, 6}, {-3, 0, 3})
-    assert unreduced_sum_diff(1, 2) == ({2}, {0})
-
-
-def test_unreduced_ranges():
-    for a, n in [(1, 30), (7, 16), (4, 15)]:
-        sums, diffs = unreduced_sum_diff(a, n)
-        assert all(2 <= v <= 2 * n - 2 for v in sums)
-        assert all(-(n - 2) <= v <= n - 2 for v in diffs)
+def test_cardinalities_memory_is_linear():
+    # one n x n bool table alone is 64 MB at n = 8192
+    tracemalloc.start()
+    try:
+        sum_diff_cardinalities(8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
