@@ -44,17 +44,24 @@ DIFFERENCE_DOMINANT = "difference-dominant"
 BALANCED = "balanced"
 
 _BOUND_PRIME_LIMIT = 100_000
+_SLICE = 1 << 14  # sieve entries turned into Python ints at a time
 
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Classification of one modulus, with the per-prime-power breakdown."""
+    """Classification of one modulus.  factor_breakdown, the ratio at each
+    prime power of n, is derived on demand from the factorization of n."""
 
     a: int
     n: int
     c2: Fraction
     classification: str
-    factor_breakdown: tuple[tuple[int, int, Fraction], ...]
+
+    @property
+    def factor_breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return tuple(
+            (p, t, _ratio_pp(self.a, p, t)) for p, t in factorize(self.n).factors
+        )
 
 
 @dataclass(frozen=True)
@@ -156,25 +163,47 @@ def _ratio_pp(a: int, p: int, t: int) -> Fraction:
     return _ratio_pp_by_class(p, t, key)
 
 
-def _spf_sieve(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (entries 0 and 1 unused)."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            tail = spf[p * p :: p]
-            tail[tail == 0] = p
-    unmarked = spf == 0
-    spf[unmarked] = np.arange(limit + 1, dtype=np.int32)[unmarked]
-    return spf
+def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """c2(a; n) = num[n] / den[n] for every n in 0..x, from closed forms.
+
+    Both are 0 at n = 0 and where gcd(a, n) > 1, else the products of the
+    numerators and denominators of the ratios at the prime powers of n.
+    The multiples of each q = p^t trade the factor of p^(t-1) for that of
+    p^t (exact division first), so no entry exceeds n.  Primes = 1 (mod 4)
+    have ratio 1 and are skipped.  Each prime power is used once, so its
+    ratio comes from the uncached closed form.
+    """
+    nd = np.ones((2, x + 1), dtype=np.int32)  # rows: numerators, denominators
+    nd[:, 0] = 0
+    for p in primes_up_to(x):
+        if a % p == 0:
+            nd[:, ::p] = 0
+        elif p % 4 != 1:
+            q, t, prev = p, 1, None
+            while q <= x:
+                r = ratio_c2_pp(a, p, t)
+                factor = np.array([[r.numerator], [r.denominator]], dtype=np.int32)
+                if prev is not None:
+                    nd[:, q::q] //= prev
+                nd[:, q::q] *= factor
+                prev = factor
+                q, t = q * p, t + 1
+    return nd[0], nd[1]
+
+
+def _sieve_rows(num: np.ndarray, den: np.ndarray, lo: int) -> Iterator[tuple[int, ...]]:
+    """(n, num[n], den[n]) for n >= lo, a fixed slice at a time, so no
+    Python list spans the whole range."""
+    for start in range(lo, len(num), _SLICE):
+        stop = start + _SLICE
+        nums, dens = num[start:stop].tolist(), den[start:stop].tolist()
+        yield from zip(range(start, stop), nums, dens)
 
 
 def dominance_report(a: int, n: int) -> DominanceReport:
-    """Classify one modulus from closed forms, with per-factor ratios."""
-    rv = ratio_c2(a, n)
-    breakdown = tuple(
-        (p, t, _ratio_pp(a, p, t)) for p, t in factorize(n).factors
-    )
-    return DominanceReport(a, n, rv.value, classify(rv.value), breakdown)
+    """Classify one modulus from closed forms."""
+    c2 = ratio_c2(a, n).value
+    return DominanceReport(a, n, c2, classify(c2))
 
 
 def dominance_scan(
@@ -185,35 +214,22 @@ def dominance_scan(
     """Reports for every n in [2, n_max] coprime to a, ascending, closed
     forms only.  Moduli sharing a factor with a are skipped silently.
 
-    When threshold is given, only reports whose ratio exceeds it are
-    yielded.  One serial pass over the range, each report yielded as soon
-    as it is built, so a consumer can stream them and the output order is
-    deterministic.
+    The ratios come from one multiplicative sieve (_ratio_sieve) as integer
+    pairs s/d.  With threshold N/M, only n with s*M > d*N (exact, in Python
+    integers) are yielded, and only yielded rows get a Fraction and a
+    report.  One serial pass, each report yielded as soon as it is built,
+    so a consumer can stream them and the output order is deterministic.
     """
     if n_max < 2:
         return
-    if threshold is not None:
-        threshold = Fraction(threshold)
-    spf = _spf_sieve(n_max)
-    for n in range(2, n_max + 1):
-        if math.gcd(a, n) != 1:
-            continue
-        c2 = Fraction(1)
-        breakdown = []
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            r = _ratio_pp(a, p, e)
-            breakdown.append((p, e, r))
-            if r != 1:
-                c2 *= r
-        if threshold is not None and not c2 > threshold:
-            continue
-        yield DominanceReport(a, n, c2, classify(c2), tuple(breakdown))
+    # with no threshold every (positive) ratio passes: compare against -1
+    bar = Fraction(-1 if threshold is None else threshold)
+    t_num, t_den = bar.numerator, bar.denominator
+    num, den = _ratio_sieve(a, n_max)
+    for n, s, d in _sieve_rows(num, den, 2):
+        if d and s * t_den > d * t_num:
+            c2 = Fraction(s, d)
+            yield DominanceReport(a, n, c2, classify(c2))
 
 
 def _floor_fraction(f: Fraction, digits: int = 12) -> Fraction:
@@ -243,54 +259,30 @@ def density_report(
 ) -> DensityReport:
     """Empirical dominance density among eligible moduli up to x.
 
-    Scans every n <= x; a modulus counts as eligible when coprime to a
-    with symbol +1 at each of its 3-mod-4 primes, and as dominant when its
-    exact ratio exceeds the threshold.  Also evaluates the truncated and
-    tail-corrected lower bounds for the asymptotic lower density at
-    threshold 1 (both exact rationals, so comparisons against them are
-    certified).  At finite x the empirical density falls short of them by
-    about the share of balanced moduli; see DensityReport.
+    A modulus is eligible when coprime to a with symbol +1 at each of its
+    3-mod-4 primes, and dominant when its ratio exceeds the threshold N/M.
+    The ratios s/d come from the sieve dominance_scan reads (_ratio_sieve),
+    with the moduli of 3-mod-4 primes of symbol -1 zeroed; s*M > d*N is
+    counted in Python integers, exact for every rational threshold.  Also
+    evaluates the truncated and tail-corrected lower bounds for the
+    asymptotic lower density at threshold 1 (both exact rationals, so
+    comparisons against them are certified).  At finite x the empirical
+    density falls short of them by about the share of balanced moduli; see
+    DensityReport.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
     if x < 2:
         raise ValueError("x must be >= 2")
     threshold = Fraction(threshold)
-    spf = _spf_sieve(x)
-    symbol_at: dict[int, int] = {}
-    eligible = dominant = 0
-    for n in range(1, x + 1):
-        if math.gcd(a, n) != 1:
-            continue
-        c2 = Fraction(1)
-        ok = True
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if p == 2:
-                r = _ratio_pp_by_class(2, e, a % 8)
-                if r != 1:
-                    c2 *= r
-            elif p % 4 == 3:
-                sym = symbol_at.get(p)
-                if sym is None:
-                    sym = symbol_at[p] = _legendre_unchecked(a, p)
-                if sym != 1:
-                    ok = False
-                    break
-                r = _ratio_pp_by_class(p, e, 1)
-                if r != 1:
-                    c2 *= r
-            # p = 1 (mod 4) contributes ratio 1
-        if not ok:
-            continue
-        eligible += 1
-        if c2 > threshold:
-            dominant += 1
+    t_num, t_den = threshold.numerator, threshold.denominator
+    num, den = _ratio_sieve(a, x)
+    for p in primes_up_to(x):
+        if p % 4 == 3 and _legendre_unchecked(a, p) == -1:
+            num[p::p] = den[p::p] = 0
+    eligible = int(np.count_nonzero(den[1:]))
+    # a zeroed modulus has 0*M > 0*N, false at every threshold
+    dominant = sum(s * t_den > d * t_num for _, s, d in _sieve_rows(num, den, 1))
     constant = dominance_class_constant(a)
     ps = [
         p

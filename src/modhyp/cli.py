@@ -43,6 +43,7 @@ from .cardinality import (
 from .hyperbola import (
     DEFAULT_BUDGET,
     HyperbolaSpec,
+    _check_table_modulus,
     enumerate_points,
     signed_sumset,
     sum_diff_cardinalities,
@@ -437,9 +438,12 @@ def _prime_powers_up_to(bound: int) -> list[tuple[int, int, int]]:
 def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
     import random
 
+    powers = _prime_powers_up_to(args.max_pp)
+    if powers:  # refuse an over-limit sweep before computing any of it
+        _check_table_modulus(powers[-1][2])
     mismatches = 0
     checked = 0
-    for p, t, q in _prime_powers_up_to(args.max_pp):
+    for p, t, q in powers:
         sums, diffs = sum_diff_cardinalities(q)
         for a in range(1, q):
             if math.gcd(a, q) != 1:

@@ -17,7 +17,7 @@ from modhyp.analysis import (
     primorial_series,
     solve_sum_product,
 )
-from modhyp.arith import legendre
+from modhyp.arith import factorize, legendre
 from modhyp.cardinality import ratio_c2
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
@@ -42,13 +42,44 @@ def test_dominance_report_examples():
     assert dominance_report(2, 625).classification == BALANCED
 
 
-def test_scan_ascending_skips_and_filters():
-    reports = list(dominance_scan(11, 60))
-    assert [r.n for r in reports] == [n for n in range(2, 61) if n % 11 != 0]
-    assert all(r.c2 == ratio_c2(11, r.n).value for r in reports)
-    filtered = list(dominance_scan(11, 60, threshold=Fraction(1)))
-    assert all(r.c2 > 1 for r in filtered)
-    assert [r.n for r in filtered] == [r.n for r in reports if r.c2 > 1]
+# The range studies read one ratio sieve; these tests compare it, modulus by
+# modulus, with ratio_c2 and legendre.  The last thresholds differ from 1 by
+# 10^-30, so s*M overflows any 64-bit product and a float reads them as 1.
+_SIEVE_AS = (1, 2, 3, 5, 7, 8, 15, 36, -3, 4 * 1009**2)
+_THRESHOLDS = (
+    1,
+    Fraction(3, 2),
+    Fraction(1, 3),
+    0,
+    Fraction(-1, 2),
+    Fraction(10**30 + 1, 10**30),
+    Fraction(10**30 - 1, 10**30),
+)
+
+
+@pytest.mark.parametrize("a", (11, *_SIEVE_AS))
+def test_scan_ascending_skips_and_filters(a):
+    ratios = {n: ratio_c2(a, n).value for n in range(2, 2001) if math.gcd(a, n) == 1}
+    for x in (1, 2, 3, 60, 2000):
+        for threshold in (None, *_THRESHOLDS):
+            got = [(r.n, r.c2, r.classification) for r in dominance_scan(a, x, threshold)]
+            assert got == [
+                (n, c2, classify(c2))
+                for n, c2 in ratios.items()
+                if n <= x and (threshold is None or c2 > threshold)
+            ], (x, threshold)
+
+
+def test_scan_factor_breakdown_matches_report():
+    for a in (11, -3, 4 * 1009**2):
+        wanted = {n for n in (2, 8, 441, 1025, 1944, 1997) if math.gcd(a, n) == 1}
+        seen = set()
+        for rep in dominance_scan(a, 2000):
+            if rep.n in wanted:
+                seen.add(rep.n)
+                assert rep.factor_breakdown == dominance_report(a, rep.n).factor_breakdown
+                assert math.prod(r for _, _, r in rep.factor_breakdown) == rep.c2
+        assert seen == wanted
 
 
 def test_scan_agrees_with_oracle():
@@ -138,13 +169,22 @@ def test_density_eligibility_excludes_nonresidues():
     assert rep.eligible_count == manual
 
 
-def test_density_counts_threshold():
-    rep = density_report(4, 300, threshold=Fraction(1), prime_limit=100)
-    manual = sum(
-        1 for n in range(1, 301, 2) if ratio_c2(4, n).value > 1
-    )
-    assert rep.dominant_count == manual
-    assert rep.empirical_density == Fraction(manual, rep.eligible_count)
+@pytest.mark.parametrize("a", (4, *_SIEVE_AS))
+def test_density_counts_threshold(a):
+    eligible = {
+        n: ratio_c2(a, n).value
+        for n in range(1, 2001)
+        if math.gcd(a, n) == 1
+        and all(legendre(a, p) == 1 for p, _ in factorize(n).factors if p % 4 == 3)
+    }
+    for x in (2, 3, 100, 300, 2000):
+        ratios = [c2 for n, c2 in eligible.items() if n <= x]
+        for threshold in _THRESHOLDS:
+            rep = density_report(a, x, threshold=threshold, prime_limit=100)
+            dominant = sum(c2 > threshold for c2 in ratios)
+            assert rep.eligible_count == len(ratios), (x, threshold)
+            assert rep.dominant_count == dominant, (x, threshold)
+            assert rep.empirical_density == Fraction(dominant, len(ratios))
 
 
 def test_density_rejects_zero():

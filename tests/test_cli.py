@@ -96,6 +96,19 @@ def test_verify_sweep_clean():
     assert "0 mismatches" in out
 
 
+def test_verify_refuses_over_limit_before_sweep(monkeypatch):
+    # 8209 is the first prime above the 8192 table limit
+    def no_sweep(n):
+        raise AssertionError(f"swept n = {n} before refusing")
+
+    monkeypatch.setattr("modhyp.cli.sum_diff_cardinalities", no_sweep)
+    code, out, err = run_cli(["verify", "--max-pp", "9000"])
+    assert (code, out, err) == (1, "", "error: n must be in [2, 8192]\n")
+    # 8192 = 2^13 is the largest prime power <= 8208: accepted, so it sweeps
+    with pytest.raises(AssertionError, match="swept n = 2 "):
+        run_cli(["verify", "--max-pp", "8208"])
+
+
 # ---------------------------------------------------------------- scan
 
 
