@@ -27,11 +27,9 @@ from .analysis import (
 )
 from .arith import (
     PrimeFactorization,
-    count_squares_mod_pp,
     euler_phi,
     factorize,
     is_prime,
-    is_square_mod_pp,
     legendre,
     primes_up_to,
     sqrt_mod_pp,
@@ -87,7 +85,6 @@ __all__ = [
     "card_S2_pp",
     "card_signed_sumset",
     "classify",
-    "count_squares_mod_pp",
     "coverage_check",
     "density_report",
     "dominance_class_constant",
@@ -97,7 +94,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "is_prime",
-    "is_square_mod_pp",
     "legendre",
     "primes_3_mod_4",
     "primes_up_to",

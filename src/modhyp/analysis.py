@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -60,7 +59,7 @@ class DominanceReport:
     @property
     def factor_breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
         return tuple(
-            (p, t, _ratio_pp(self.a, p, t)) for p, t in factorize(self.n).factors
+            (p, t, ratio_c2_pp(self.a, p, t)) for p, t in factorize(self.n).factors
         )
 
 
@@ -137,32 +136,6 @@ def classify(c2: Fraction) -> str:
     return DIFFERENCE_DOMINANT
 
 
-@lru_cache(maxsize=None)
-def _least_nonresidue(p: int) -> int:
-    z = 2
-    while _legendre_unchecked(z, p) != -1:
-        z += 1
-    return z
-
-
-@lru_cache(maxsize=None)
-def _ratio_pp_by_class(p: int, t: int, key: int) -> Fraction:
-    # key is a mod 8 for p = 2, else the Legendre symbol of a at p.  The
-    # closed forms depend on a only through that key.
-    if p == 2:
-        a = key
-    elif key == 1:
-        a = 1
-    else:
-        a = _least_nonresidue(p)
-    return ratio_c2_pp(a, p, t)
-
-
-def _ratio_pp(a: int, p: int, t: int) -> Fraction:
-    key = a % 8 if p == 2 else _legendre_unchecked(a, p)
-    return _ratio_pp_by_class(p, t, key)
-
-
 def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     """c2(a; n) = num[n] / den[n] for every n in 0..x, from closed forms.
 
@@ -170,8 +143,7 @@ def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     numerators and denominators of the ratios at the prime powers of n.
     The multiples of each q = p^t trade the factor of p^(t-1) for that of
     p^t (exact division first), so no entry exceeds n.  Primes = 1 (mod 4)
-    have ratio 1 and are skipped.  Each prime power is used once, so its
-    ratio comes from the uncached closed form.
+    have ratio 1 and are skipped.
     """
     nd = np.ones((2, x + 1), dtype=np.int32)  # rows: numerators, denominators
     nd[:, 0] = 0
@@ -344,8 +316,8 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
         if a % p == 0:
             raise ValueError(f"a = {a} shares the prime factor {p} with the primorial")
         primorial *= p
-        c_first *= _ratio_pp_by_class(p, 1, 1)
-        c_power *= _ratio_pp_by_class(p, t, 1)
+        c_first *= ratio_c2_pp(a, p, 1)
+        c_power *= ratio_c2_pp(a, p, t)
         rows.append(
             PrimorialRow(k, primorial, c_first, c_power, math.log(math.log(primorial)))
         )

@@ -1,8 +1,7 @@
 """Exact modular arithmetic kernels.
 
-Factorization, Legendre symbols, squareness tests and square roots modulo
-prime powers, and the closed-form count of distinct squares modulo a prime
-power.  Everything is exact integer arithmetic and every algorithm is
+Primality, factorization, Legendre symbols and square roots modulo prime
+powers.  Everything is exact integer arithmetic and every algorithm is
 deterministic.
 """
 
@@ -14,11 +13,9 @@ from functools import lru_cache
 
 __all__ = [
     "PrimeFactorization",
-    "count_squares_mod_pp",
     "euler_phi",
     "factorize",
     "is_prime",
-    "is_square_mod_pp",
     "legendre",
     "primes_up_to",
     "sqrt_mod_pp",
@@ -253,53 +250,3 @@ def sqrt_mod_pp(a: int, p: int, t: int) -> list[int]:
         modulus = p**k
         r = (r + (a - r * r) * pow(2 * r, -1, modulus)) % modulus
     return sorted({r, q - r})
-
-
-def is_square_mod_pp(a: int, p: int, t: int) -> bool:
-    """Whether x^2 = a (mod p^t) is solvable; a may share factors with p.
-
-    Writing a = p^s * u with u a unit, the congruence is solvable exactly
-    when a = 0 (mod p^t), or s is even and u is a square mod p^(t-s).
-    """
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    a %= p**t
-    if a == 0:
-        return True
-    s = 0
-    while a % p == 0:
-        a //= p
-        s += 1
-    if s % 2:
-        return False
-    rem = t - s
-    if p == 2:
-        if rem == 1:
-            return True
-        if rem == 2:
-            return a % 4 == 1
-        return a % 8 == 1
-    return _legendre_unchecked(a, p) == 1
-
-
-def count_squares_mod_pp(p: int, t: int) -> int:
-    """Number of distinct values of k^2 mod p^t, k over all residues.
-
-    Evaluated from the closed forms; the divisibility of each formula is
-    checked so a non-integral value can never escape silently.
-    """
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        num = (1 << t) + (-1) ** (t - 1) + 9
-        den = 6
-    else:
-        num = 2 * p ** (t + 1) + (-1) ** (t - 1) * (p - 1) + 3 * (p + 1)
-        den = 4 * (p + 1)
-    if num % den:  # pragma: no cover - the closed forms are exact
-        raise ArithmeticError(f"non-integral square count at p={p}, t={t}")
-    return num // den

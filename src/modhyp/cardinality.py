@@ -115,10 +115,23 @@ def _p2_count(a: int, t: int, q: int, kind: str) -> int:
     return 1 << (t - 3) if mid_branch else 1 << (t - 4)
 
 
-def _odd_big_value(p: int, t: int) -> int:
+def _check_pp(a: int, p: int, t: int) -> None:
+    if t < 1:
+        raise ValueError("exponent t must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if math.gcd(a, p) != 1:
+        raise ValueError(f"a = {a} must be a unit at p = {p}")
+
+
+def _odd_components(p: int, t: int, square: bool) -> tuple[int, int]:
+    # (s1, s2) at odd p^t for an a whose Legendre symbol is +1 exactly when
+    # square; the sumset count is s1 + s2
     pt1 = p ** (t - 1)
-    num = (p - 3) * (p + 1) * pt1 + 2 * pt1 + 3 * (p + 1) + (-1) ** (t - 1) * (p - 1)
-    return _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
+    if not square:
+        return (p - 1) * pt1 // 2, 0
+    num = 2 * pt1 + 3 * (p + 1) + (-1) ** (t - 1) * (p - 1)
+    return (p - 3) * pt1 // 2, _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
 
 
 def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
@@ -131,24 +144,16 @@ def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
     """
     if kind not in (SUM, DIFFERENCE):
         raise ValueError(f"kind must be {SUM!r} or {DIFFERENCE!r}")
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"a = {a} must be a unit at p = {p}")
-    q = p**t
-    a %= q
+    _check_pp(a, p, t)
     if p == 2:
-        return _p2_count(a, t, q, kind)
-    eps = _legendre_unchecked(a, p)
-    if kind == SUM:
-        big = eps == 1
-    else:
-        big = (p % 4 == 1) == (eps == 1)
-    if big:
-        return _odd_big_value(p, t)
-    return (p - 1) * p ** (t - 1) // 2
+        q = 1 << t
+        return _p2_count(a % q, t, q, kind)
+    square = _legendre_unchecked(a, p) == 1
+    if kind == DIFFERENCE:
+        # the difference set at a counts as the sumset at -a
+        square = (p % 4 == 1) == square
+    s1, s2 = _odd_components(p, t, square)
+    return s1 + s2
 
 
 def card_S2_components(a: int, p: int, t: int) -> tuple[int, int]:
@@ -160,18 +165,8 @@ def card_S2_components(a: int, p: int, t: int) -> tuple[int, int]:
     """
     if p == 2:
         raise ValueError("components are defined for odd p only")
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"a = {a} must be a unit at p = {p}")
-    if _legendre_unchecked(a, p) == -1:
-        return (p - 1) * p ** (t - 1) // 2, 0
-    s1 = (p - 3) * p ** (t - 1) // 2
-    num = 2 * p ** (t - 1) + 3 * (p + 1) + (-1) ** (t - 1) * (p - 1)
-    s2 = _exact_div(num, 2 * (p + 1), f"components p={p}, t={t}")
-    return s1, s2
+    _check_pp(a, p, t)
+    return _odd_components(p, t, _legendre_unchecked(a, p) == 1)
 
 
 def card_signed_sumset(

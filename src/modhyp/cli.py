@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -263,7 +264,9 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational (use num/den)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
@@ -567,7 +570,10 @@ def _cmd_plot(args: argparse.Namespace, threads: int) -> int:
     if args.out == "-":
         sys.stdout.write(svg)
     else:
-        Path(args.out).write_text(svg)
+        try:
+            Path(args.out).write_text(svg)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {len(pts)} points to {args.out}", file=sys.stderr)
     return 0
 
@@ -591,4 +597,11 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away: silence the final flush, exit 1 (EPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

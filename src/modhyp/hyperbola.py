@@ -27,7 +27,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -99,8 +99,8 @@ class HyperbolaSpec:
 class ResidueSet:
     """An immutable set of residues modulo n, stored as a dense bit mask.
 
-    Bit r of the mask is membership of residue r, so set equality and
-    union are word-wise integer operations and the cardinality is a
+    Bit r of the mask is membership of residue r, so set equality and the
+    complement are word-wise integer operations and the cardinality is a
     popcount (cached after first use).
     """
 
@@ -114,13 +114,6 @@ class ResidueSet:
         self.modulus = modulus
         self._bits = bits
         self._card: int | None = None
-
-    @classmethod
-    def from_iterable(cls, modulus: int, values: Iterable[int]) -> "ResidueSet":
-        bits = 0
-        for v in values:
-            bits |= 1 << (v % modulus)
-        return cls(modulus, bits)
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "ResidueSet":
@@ -144,11 +137,6 @@ class ResidueSet:
 
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.modulus, ~self._bits & ((1 << self.modulus) - 1))
-
-    def __or__(self, other: "ResidueSet") -> "ResidueSet":
-        if self.modulus != other.modulus:
-            raise ValueError("union requires matching moduli")
-        return ResidueSet(self.modulus, self._bits | other._bits)
 
     def __len__(self) -> int:
         return self.cardinality

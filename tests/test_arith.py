@@ -1,18 +1,15 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhyp.arith import (
     PrimeFactorization,
-    count_squares_mod_pp,
     euler_phi,
     factorize,
     is_prime,
-    is_square_mod_pp,
     legendre,
     primes_up_to,
     sqrt_mod_pp,
@@ -140,53 +137,6 @@ def test_character_sum_identity():
 # ---------------------------------------------------------------- squares mod p^t
 
 
-def test_is_square_examples():
-    for t in range(1, 13):
-        assert is_square_mod_pp(17, 2, t)
-    for k in range(32):
-        expected = k % 16 in (1, 15)
-        assert is_square_mod_pp(k * k + 3, 2, 5) == expected
-    assert not is_square_mod_pp(3, 5, 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=50),
-    st.integers(min_value=1, max_value=20),
-)
-def test_is_square_power4_times_8n_plus_1(k, n, t):
-    assert is_square_mod_pp(4**k * (8 * n + 1), 2, t)
-
-
-def test_is_square_shifted_by_16_step_cases():
-    # k^2 + 3 + 8m with m = 4b + r: square mod 2^t iff k = +-(4r+1) mod 16
-    rng = random.Random(3)
-    for t in range(5, 13):
-        q = 1 << t
-        ks = range(q) if q <= 1024 else sorted(rng.sample(range(q), 1024))
-        for r in range(4):
-            for b in (0, 1, 5):
-                m = 4 * b + r
-                want = {(4 * r + 1) % 16, (-(4 * r + 1)) % 16}
-                for k in ks:
-                    assert is_square_mod_pp(k * k + 3 + 8 * m, 2, t) == (k % 16 in want)
-
-
-def test_is_square_vs_exhaustive():
-    for p, t, q in prime_powers_up_to(1000):
-        squares = {x * x % q for x in range(q)}
-        for z in range(q):
-            assert is_square_mod_pp(z, p, t) == (z in squares), (z, p, t)
-    rng = random.Random(7)
-    for p, t, q in prime_powers_up_to(10_000):
-        if q <= 1000:
-            continue
-        squares = set((np.arange(q, dtype=np.int64) ** 2 % q).tolist())
-        for z in rng.sample(range(q), 64):
-            assert is_square_mod_pp(z, p, t) == (z in squares), (z, p, t)
-
-
 def test_sqrt_examples():
     assert sqrt_mod_pp(2, 7, 1) == [3, 4]
     assert sqrt_mod_pp(17, 2, 5) == [7, 9, 23, 25]
@@ -230,19 +180,6 @@ def test_sqrt_sampled_large_prime_powers():
                 # both signs present, and count matches the stated contract
                 assert (q - got[0]) % q in got
                 assert len(got) == (4 if p == 2 and t >= 3 else 2 if not (p == 2 and t == 1) else 1)
-
-
-def test_count_squares_examples():
-    assert count_squares_mod_pp(3, 1) == 2
-    assert count_squares_mod_pp(3, 2) == 4
-    assert count_squares_mod_pp(2, 4) == 4
-
-
-def test_count_squares_vs_exhaustive():
-    for p, t, q in prime_powers_up_to(100_000):
-        k = np.arange(q, dtype=np.int64)
-        exhaustive = np.unique(k * k % q).size
-        assert count_squares_mod_pp(p, t) == exhaustive, (p, t)
 
 
 def test_is_prime_edges():

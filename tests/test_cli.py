@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+import modhyp
 from modhyp.analysis import (
     coverage_check,
     density_report,
@@ -17,7 +21,7 @@ from modhyp.analysis import (
 )
 from modhyp.arith import euler_phi
 from modhyp.cardinality import card_signed_sumset
-from modhyp.cli import render_svg, resolve_threads, run, write_reports
+from modhyp.cli import build_parser, render_svg, resolve_threads, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points
 
 
@@ -43,6 +47,49 @@ def test_usage_errors_exit_1():
 def test_help_exits_0():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+_PARSER_CASES = [
+    ["scan", "--a", "11", "--max-n", "40", "--format", "csv"],
+    ["density", "--a", "4", "--max-n", "300", "--format", "json"],
+    ["ratio", "--a", "11", "--n", "441"],
+    ["scan", "--a", "11", "--max-n", "20", "--L", "3/2"],
+    ["ratio", "--a", "11"],  # usage error: --n missing
+    ["card", "--d", "3", "--a", "1", "--n", "7"],
+    ["solve3", "--b", "0", "--a", "1", "--p", "11", "--format", "json"],
+    ["--help"],
+    ["scan", "--help"],
+]
+
+
+def test_cached_parser_matches_fresh_parsers():
+    fresh = []
+    for argv in _PARSER_CASES:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    build_parser.cache_clear()
+    cached = [run_cli(argv) for _ in range(2) for argv in _PARSER_CASES]
+    assert build_parser.cache_info().misses == 1
+    assert cached == fresh * 2
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(modhyp.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    argv = ["scan", "--a", "11", "--max-n", "200000", "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "modhyp", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()  # the reader goes away, as with `| head -2`
+        _, err = proc.communicate(timeout=60)
+    assert head == [b"a,n,c2,c2_decimal,classification\n", b"11,2,1/1,1.000000,balanced\n"]
+    assert b"Traceback" not in err
+    assert proc.returncode == 1
 
 
 def test_budget_exhaustion_exits_2():
@@ -333,6 +380,73 @@ def test_enumerate_sumset_json():
     assert payload["cardinality"] == 3
 
 
+_TABLE_OUTPUTS = {
+    ("ratio", "--a", "11", "--n", "441"): (
+        "c2(11; 441) = 8/7 (1.142857)  sum-dominant\n"
+        "  3^2: 3/2\n"
+        "  7^2: 16/21\n"
+    ),
+    ("primorial", "--a", "4", "--k-max", "8"): (
+        "k=1 N=3 c2=2/1 (2.000000) c2^t=2/3 (0.666667) loglog=0.094048\n"
+        "k=2 N=21 c2=8/3 (2.666667) c2^t=32/63 (0.507937) loglog=1.113344\n"
+        "k=3 N=231 c2=16/5 (3.200000) c2^t=1472/3465 (0.424820) loglog=1.694223\n"
+        "k=4 N=4389 c2=32/9 (3.555556) c2^t=2944/7695 (0.382586) loglog=2.126666\n"
+        "k=5 N=100947 c2=128/33 (3.878788) c2^t=29696/84645 (0.350830) loglog=2.444289\n"
+        "k=6 N=3129357 c2=2048/495 (4.137374) c2^t=12947456/39359925 (0.328950) "
+        "loglog=2.705135\n"
+        "k=7 N=134562351 c2=4096/945 (4.334392) c2^t=11160707072/35542012275 "
+        "(0.314014) loglog=2.929461\n"
+        "k=8 N=6324430497 c2=32768/7245 (4.522843) c2^t=1651784646656/5488702181325 "
+        "(0.300943) loglog=3.116519\n"
+    ),
+    ("scan", "--a", "11", "--max-n", "30"): (
+        "n=2 c2=1/1 (1.000000) balanced\n"
+        "n=3 c2=1/2 (0.500000) difference-dominant\n"
+        "n=4 c2=1/1 (1.000000) balanced\n"
+        "n=5 c2=1/1 (1.000000) balanced\n"
+        "n=6 c2=1/2 (0.500000) difference-dominant\n"
+        "n=7 c2=4/3 (1.333333) sum-dominant\n"
+        "n=8 c2=1/2 (0.500000) difference-dominant\n"
+        "n=9 c2=3/2 (1.500000) sum-dominant\n"
+        "n=10 c2=1/1 (1.000000) balanced\n"
+        "n=12 c2=1/2 (0.500000) difference-dominant\n"
+        "n=13 c2=1/1 (1.000000) balanced\n"
+        "n=14 c2=4/3 (1.333333) sum-dominant\n"
+        "n=15 c2=1/2 (0.500000) difference-dominant\n"
+        "n=16 c2=1/1 (1.000000) balanced\n"
+        "n=17 c2=1/1 (1.000000) balanced\n"
+        "n=18 c2=3/2 (1.500000) sum-dominant\n"
+        "n=19 c2=10/9 (1.111111) sum-dominant\n"
+        "n=20 c2=1/1 (1.000000) balanced\n"
+        "n=21 c2=2/3 (0.666667) difference-dominant\n"
+        "n=23 c2=11/12 (0.916667) difference-dominant\n"
+        "n=24 c2=1/4 (0.250000) difference-dominant\n"
+        "n=25 c2=1/1 (1.000000) balanced\n"
+        "n=26 c2=1/1 (1.000000) balanced\n"
+        "n=27 c2=9/4 (2.250000) sum-dominant\n"
+        "n=28 c2=4/3 (1.333333) sum-dominant\n"
+        "n=29 c2=1/1 (1.000000) balanced\n"
+        "n=30 c2=1/2 (0.500000) difference-dominant\n"
+    ),
+    ("density", "--a", "4", "--max-n", "500"): (
+        "eligible 250, above threshold 152, empirical density 76/125 (0.608000)\n"
+        "class constant 1/1, truncated bound 0.856109, rigorous bound 0.856101 "
+        "(primes up to 100000)\n"
+    ),
+    ("solve3", "--b", "0", "--a", "1", "--p", "11", "--t", "3"): (
+        "x1=63 x2=444 x3=824 (mod 1331)\n"
+        "sum=0 product=1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_TABLE_OUTPUTS), ids=lambda argv: argv[0])
+def test_table_output_pinned(argv):
+    code, out, _ = run_cli(list(argv))
+    assert code == 0
+    assert out == _TABLE_OUTPUTS[argv]
+
+
 # ---------------------------------------------------------------- density / primorial / coverage / solve3
 
 
@@ -422,6 +536,15 @@ def test_plot_writes_file(tmp_path):
     ET.fromstring(svg)
     assert count_point_elements(svg) == 4
     assert "4 points" in err
+
+
+def test_plot_unwritable_path_exits_1(tmp_path):
+    out_file = tmp_path / "missing" / "h.svg"
+    code, out, err = run_cli(["plot", "--a", "51", "--n", "64", "--out", str(out_file)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_file}: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- threads

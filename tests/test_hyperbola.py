@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modhyp.hyperbola
-from modhyp.arith import euler_phi, is_square_mod_pp, primes_up_to
+from modhyp.arith import euler_phi, primes_up_to
 from modhyp.hyperbola import (
     EnumerationBudgetError,
     HyperbolaSpec,
@@ -60,17 +60,20 @@ def test_spec_signs():
 # ---------------------------------------------------------------- ResidueSet
 
 
+def from_mask(modulus, values):
+    mask = np.zeros(modulus, dtype=bool)
+    mask[list(values)] = True
+    return ResidueSet.from_mask(mask)
+
+
 def test_residue_set_basics():
-    rs = ResidueSet.from_iterable(9, [0, 3, 6, 3])
+    rs = from_mask(9, [0, 3, 6, 3])
     assert len(rs) == 3
     assert list(rs) == [0, 3, 6]
     assert 3 in rs and 4 not in rs
-    assert rs == ResidueSet.from_iterable(9, [6, 0, 3])
-    assert rs != ResidueSet.from_iterable(10, [0, 3, 6])
+    assert rs == from_mask(9, [6, 0, 3])
+    assert rs != from_mask(10, [0, 3, 6])
     assert sorted(rs.complement()) == [1, 2, 4, 5, 7, 8]
-    assert rs | ResidueSet.from_iterable(9, [1]) == ResidueSet.from_iterable(9, [0, 1, 3, 6])
-    with pytest.raises(ValueError):
-        rs | ResidueSet.from_iterable(8, [1])
 
 
 def test_residue_set_mask_roundtrip():
@@ -246,11 +249,12 @@ def test_doubling_bijection():
         q, t = p, 1
         while q <= 2048:
             bound = q // 2 if p == 2 else q
+            squares = {x * x % q for x in range(q)}
             for a in range(1, min(q, 40)):
                 if math.gcd(a, p) != 1:
                     continue
                 _, d = sum_diff_sets(a, q)
-                count = sum(1 for k in range(bound) if is_square_mod_pp(k * k + a, p, t))
+                count = sum(1 for k in range(bound) if (k * k + a) % q in squares)
                 assert len(d) == count, (a, p, t)
             q *= p
             t += 1
@@ -266,7 +270,7 @@ def test_complement_symmetry():
             a = rng.choice(units)
             for m in range(d + 1):
                 base = signed_sumset(HyperbolaSpec(d, m, a, n))
-                negated = ResidueSet.from_iterable(n, ((-v) % n for v in base))
+                negated = from_mask(n, ((-v) % n for v in base))
                 flipped_a = ((-1) ** d * a) % n
                 assert signed_sumset(HyperbolaSpec(d, m, flipped_a, n)) == negated
                 assert signed_sumset(HyperbolaSpec(d, d - m, a, n)) == negated
