@@ -41,7 +41,6 @@ from .cardinality import (
     FactorCount,
     PartialResultError,
     RatioValue,
-    card_S2_components,
     card_S2_pp,
     card_signed_sumset,
     ratio_c2,
@@ -81,7 +80,6 @@ __all__ = [
     "ResidueSet",
     "SUM",
     "SUM_DOMINANT",
-    "card_S2_components",
     "card_S2_pp",
     "card_signed_sumset",
     "classify",

@@ -44,6 +44,7 @@ BALANCED = "balanced"
 
 _BOUND_PRIME_LIMIT = 100_000
 _SLICE = 1 << 14  # sieve entries turned into Python ints at a time
+_SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,11 @@ def classify(c2: Fraction) -> str:
     return DIFFERENCE_DOMINANT
 
 
+def _check_sieve_range(x: int) -> None:
+    if x >= _SIEVE_LIMIT:
+        raise ValueError(f"range bound {x} must be below 2^31 (the ratio sieve is int32)")
+
+
 def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     """c2(a; n) = num[n] / den[n] for every n in 0..x, from closed forms.
 
@@ -145,6 +151,7 @@ def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
     p^t (exact division first), so no entry exceeds n.  Primes = 1 (mod 4)
     have ratio 1 and are skipped.
     """
+    _check_sieve_range(x)
     nd = np.ones((2, x + 1), dtype=np.int32)  # rows: numerators, denominators
     nd[:, 0] = 0
     for p in primes_up_to(x):
@@ -324,13 +331,11 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     return PrimorialReport(a, t, tuple(rows))
 
 
-def coverage_check(
-    spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> CoverageReport:
+def coverage_check(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CoverageReport:
     """Exhaustively attained signed sums versus all of Z/n, for d >= 3."""
     if spec.d < 3:
         raise ValueError("coverage_check requires d >= 3")
-    attained = signed_sumset(spec, budget=budget, workers=workers)
+    attained = signed_sumset(spec, budget=budget)
     missing = attained.complement()
     guaranteed = all(p > 7 for p, _ in factorize(spec.n).factors)
     return CoverageReport(spec, len(missing) == 0, missing, guaranteed)

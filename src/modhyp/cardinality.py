@@ -32,7 +32,6 @@ __all__ = [
     "PartialResultError",
     "RatioValue",
     "SUM",
-    "card_S2_components",
     "card_S2_pp",
     "card_signed_sumset",
     "ratio_c2",
@@ -115,23 +114,15 @@ def _p2_count(a: int, t: int, q: int, kind: str) -> int:
     return 1 << (t - 3) if mid_branch else 1 << (t - 4)
 
 
-def _check_pp(a: int, p: int, t: int) -> None:
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"a = {a} must be a unit at p = {p}")
-
-
-def _odd_components(p: int, t: int, square: bool) -> tuple[int, int]:
-    # (s1, s2) at odd p^t for an a whose Legendre symbol is +1 exactly when
-    # square; the sumset count is s1 + s2
+def _odd_count(p: int, t: int, square: bool) -> int:
+    # the sumset count at odd p^t for an a whose Legendre symbol is +1
+    # exactly when square: s1 + s2, where s1 counts the k with k^2 - a a
+    # square coprime to p and s2 those with k^2 - a a square divisible by p
     pt1 = p ** (t - 1)
     if not square:
-        return (p - 1) * pt1 // 2, 0
+        return (p - 1) * pt1 // 2  # s2 = 0
     num = 2 * pt1 + 3 * (p + 1) + (-1) ** (t - 1) * (p - 1)
-    return (p - 3) * pt1 // 2, _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
+    return (p - 3) * pt1 // 2 + _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
 
 
 def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
@@ -144,7 +135,12 @@ def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
     """
     if kind not in (SUM, DIFFERENCE):
         raise ValueError(f"kind must be {SUM!r} or {DIFFERENCE!r}")
-    _check_pp(a, p, t)
+    if t < 1:
+        raise ValueError("exponent t must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if math.gcd(a, p) != 1:
+        raise ValueError(f"a = {a} must be a unit at p = {p}")
     if p == 2:
         q = 1 << t
         return _p2_count(a % q, t, q, kind)
@@ -152,26 +148,10 @@ def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
     if kind == DIFFERENCE:
         # the difference set at a counts as the sumset at -a
         square = (p % 4 == 1) == square
-    s1, s2 = _odd_components(p, t, square)
-    return s1 + s2
+    return _odd_count(p, t, square)
 
 
-def card_S2_components(a: int, p: int, t: int) -> tuple[int, int]:
-    """Split the sumset count at odd p^t by divisibility of k^2 - a.
-
-    Returns (s1, s2): s1 counts residues k for which k^2 - a is a square
-    coprime to p, s2 those for which it is a square divisible by p.
-    Their sum equals the sumset cardinality.  Defined for odd p only.
-    """
-    if p == 2:
-        raise ValueError("components are defined for odd p only")
-    _check_pp(a, p, t)
-    return _odd_components(p, t, _legendre_unchecked(a, p) == 1)
-
-
-def card_signed_sumset(
-    spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> CardinalityReport:
+def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CardinalityReport:
     """Per-prime-power counts of the signed sumset, composed by product.
 
     d = 2 resolves every factor in closed form (m in {0, 2} counts the
@@ -200,7 +180,7 @@ def card_signed_sumset(
         else:
             sub = HyperbolaSpec(spec.d, spec.m, spec.a % q, q)
             try:
-                attained = signed_sumset(sub, budget=budget, workers=workers)
+                attained = signed_sumset(sub, budget=budget)
             except EnumerationBudgetError:
                 blocked.append((p, t))
                 continue

@@ -26,6 +26,7 @@ from .analysis import (
     DensityReport,
     DominanceReport,
     PrimorialReport,
+    _check_sieve_range,
     coverage_check,
     density_report,
     dominance_report,
@@ -51,7 +52,7 @@ from .hyperbola import (
     sum_diff_sets,
 )
 
-__all__ = ["build_parser", "main", "render_svg", "resolve_threads", "run", "write_reports"]
+__all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
 
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
@@ -244,19 +245,6 @@ def render_svg(points: Iterable[tuple[int, int]], n: int) -> str:
     return "\n".join(parts) + "\n"
 
 
-def resolve_threads(value: int | None) -> int:
-    """Explicit flag wins, then MODHYP_THREADS, then the hardware count."""
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("MODHYP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"MODHYP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
-
-
 def _rational_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -271,10 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads of the enumeration oracle (enumerate, card with "
-        "d >= 3, coverage); scan and density run on one thread "
-        "(default: MODHYP_THREADS or the hardware count)",
+        help="accepted for compatibility; has no effect (every command runs on one thread)",
     )
     common.add_argument(
         "--budget",
@@ -361,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_enumerate(args: argparse.Namespace, threads: int) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else args.d
     spec = HyperbolaSpec(args.d, m, args.a, args.n)
     if args.points:
@@ -382,7 +367,7 @@ def _cmd_enumerate(args: argparse.Namespace, threads: int) -> int:
             for pt in pts:
                 print(" ".join(str(c) for c in pt))
         return 0
-    attained = signed_sumset(spec, budget=args.budget, workers=threads)
+    attained = signed_sumset(spec, budget=args.budget)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["residue"])
@@ -403,10 +388,10 @@ def _cmd_enumerate(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_card(args: argparse.Namespace, threads: int) -> int:
+def _cmd_card(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else args.d
     spec = HyperbolaSpec(args.d, m, args.a, args.n)
-    rep = card_signed_sumset(spec, budget=args.budget, workers=threads)
+    rep = card_signed_sumset(spec, budget=args.budget)
     if args.format == "table":
         for fc in rep.per_factor:
             print(f"{fc.p}^{fc.t}: {fc.count}  [{fc.method}]")
@@ -416,7 +401,7 @@ def _cmd_card(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_ratio(args: argparse.Namespace, threads: int) -> int:
+def _cmd_ratio(args: argparse.Namespace) -> int:
     rep = dominance_report(args.a, args.n)
     if args.format == "table":
         print(f"c2({rep.a}; {rep.n}) = {_rat(rep.c2)} ({_dec(rep.c2)})  {rep.classification}")
@@ -438,7 +423,7 @@ def _prime_powers_up_to(bound: int) -> list[tuple[int, int, int]]:
     return sorted(out, key=lambda v: v[2])
 
 
-def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     import random
 
     powers = _prime_powers_up_to(args.max_pp)
@@ -494,7 +479,8 @@ def _cmd_verify(args: argparse.Namespace, threads: int) -> int:
     return 0 if mismatches == 0 else 2
 
 
-def _cmd_scan(args: argparse.Namespace, threads: int) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
+    _check_sieve_range(args.max_n)  # the sieve runs lazily, after the CSV header
     reports = dominance_scan(args.a, args.max_n, threshold=args.L)
     if args.format == "table":
         for rep in reports:
@@ -506,7 +492,7 @@ def _cmd_scan(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_density(args: argparse.Namespace, threads: int) -> int:
+def _cmd_density(args: argparse.Namespace) -> int:
     rep = density_report(args.a, args.max_n, threshold=args.L)
     if args.format == "table":
         print(
@@ -523,7 +509,7 @@ def _cmd_density(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_primorial(args: argparse.Namespace, threads: int) -> int:
+def _cmd_primorial(args: argparse.Namespace) -> int:
     rep = primorial_series(args.a, args.k_max, t=args.t)
     if args.format == "table":
         for row in rep.rows:
@@ -537,9 +523,9 @@ def _cmd_primorial(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_coverage(args: argparse.Namespace, threads: int) -> int:
+def _cmd_coverage(args: argparse.Namespace) -> int:
     spec = HyperbolaSpec(args.d, args.m, args.a, args.n)
-    rep = coverage_check(spec, budget=args.budget, workers=threads)
+    rep = coverage_check(spec, budget=args.budget)
     if args.format == "table":
         state = "covered" if rep.covered else "NOT covered"
         print(f"{state}; guaranteed={'yes' if rep.guaranteed else 'no'}")
@@ -550,7 +536,7 @@ def _cmd_coverage(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_solve3(args: argparse.Namespace, threads: int) -> int:
+def _cmd_solve3(args: argparse.Namespace) -> int:
     triple = solve_sum_product(args.b, args.a, args.p, args.t)
     q = args.p**args.t
     if args.format == "table":
@@ -563,7 +549,7 @@ def _cmd_solve3(args: argparse.Namespace, threads: int) -> int:
     return 0
 
 
-def _cmd_plot(args: argparse.Namespace, threads: int) -> int:
+def _cmd_plot(args: argparse.Namespace) -> int:
     spec = HyperbolaSpec(2, 2, args.a, args.n)
     pts = [(x, y) for x, y in enumerate_points(spec, budget=args.budget)]
     svg = render_svg(pts, spec.n)
@@ -586,8 +572,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        threads = resolve_threads(args.threads)
-        return args.handler(args, threads)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,17 +14,12 @@ lexicographically and every entry point walks them in blocks of at most
 ``_BLOCK`` cells (one per point or table entry), whole fibres at a time
 where they fit, so memory is bounded by the block, not the hyperbola.
 
-``signed_sumset`` stops once a block completes the residue set.  With more
-than one worker it gives each span of ``_SPAN`` first coordinates a private
-mask in a pool of at most one thread per span and per CPU; masks merge by
-union, so the result is the same for any worker count.
+``signed_sumset`` stops once a block completes the residue set.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -47,7 +42,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _TABLE_LIMIT = 8192
-_SPAN = 2048  # units of the first coordinate per pool task
 # Cells per kernel call.  Fibres are whole within a block, so the early exit
 # of signed_sumset is checked every _BLOCK // phi(n) heads: larger blocks
 # fire it late on d >= 3, smaller ones pay more numpy calls per cell.
@@ -55,11 +49,19 @@ _BLOCK = 1 << 14
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An enumeration would evaluate more leading tuples than the budget allows."""
+    """An enumeration would evaluate more leading tuples than the budget allows.
+
+    tuple_count is the first of phi(n), phi(n)^2, ..., phi(n)^(d-1) over the
+    budget, a lower bound on the leading tuples (exact when it is the last).
+    """
 
     def __init__(self, tuple_count: int, budget: int) -> None:
+        # a count past 1024 bits prints as the power of two below it, so the
+        # message never meets the interpreter's int-to-str digit limit
+        bits = tuple_count.bit_length()
+        shown = tuple_count if bits <= 1024 else f"2^{bits - 1}"
         super().__init__(
-            f"enumeration needs {tuple_count} leading tuples, over the budget of {budget}"
+            f"enumeration needs at least {shown} leading tuples, over the budget of {budget}"
         )
         self.tuple_count = tuple_count
         self.budget = budget
@@ -176,9 +178,13 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
-    count = euler_phi(spec.n) ** (spec.d - 1)
-    if count > budget:
-        raise EnumerationBudgetError(count, budget)
+    """phi(n)^(d-1), formed one factor at a time: the first partial product
+    over the budget is refused, so a huge d never builds its full power."""
+    phi, count = euler_phi(spec.n), 1
+    for _ in range(spec.d - 1):
+        count *= phi
+        if count > budget:
+            raise EnumerationBudgetError(count, budget)
     return count
 
 
@@ -252,40 +258,19 @@ def enumerate_points(
         yield from zip(*reversed(lead), last.tolist())
 
 
-def _span_mask(spec: HyperbolaSpec, lo: int, hi: int) -> np.ndarray:
-    """Mask of the signed sums of the points whose leading tuple is in lo..hi-1."""
+def signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> ResidueSet:
+    """The exact residue set of signed coordinate sums over the hyperbola.
+
+    Stops early once every residue is attained (the set can only grow, so
+    the answer is already final).
+    """
+    count = _checked_tuple_count(spec, budget)
     n, signs = spec.n, spec.signs
     mask = np.zeros(n, dtype=bool)
-    for _, c, b in _blocks(n, [spec.a], signs[:-1], lo, hi):
+    for _, c, b in _blocks(n, [spec.a], signs[:-1], 0, count):
         mask[_mod(b + signs[-1] * c, n)] = True
         if mask.all():
             break
-    return mask
-
-
-def signed_sumset(
-    spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> ResidueSet:
-    """The exact residue set of signed coordinate sums over the hyperbola.
-
-    Span boundaries are fixed, private span masks merge by union, and
-    union is commutative, so the result is byte-identical for any worker
-    count.  Stops early once every residue is attained (the set can only
-    grow, so the answer is already final).
-    """
-    count = _checked_tuple_count(spec, budget)
-    phi = len(_unit_tables(spec.n)[0])
-    per_unit = count // phi  # leading tuples per value of the first coordinate
-    spans = [(lo * per_unit, min(lo + _SPAN, phi) * per_unit) for lo in range(0, phi, _SPAN)]
-    workers = min(workers, len(spans), os.cpu_count() or 1)
-    if workers < 2:
-        return ResidueSet.from_mask(_span_mask(spec, 0, count))
-    mask = np.zeros(spec.n, dtype=bool)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # fold each span mask in as map yields it, rather than holding
-        # one n-byte mask per span until the last one is done
-        for span in pool.map(lambda s: _span_mask(spec, *s), spans):
-            mask |= span
     return ResidueSet.from_mask(mask)
 
 

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import modhyp.analysis
 from modhyp.analysis import (
     BALANCED,
     DIFFERENCE_DOMINANT,
@@ -190,6 +192,23 @@ def test_density_counts_threshold(a):
 def test_density_rejects_zero():
     with pytest.raises(ValueError):
         density_report(0, 100)
+
+
+def test_ratio_sieve_refuses_int32_overflow(monkeypatch):
+    # the sieve's int32 entries hold n up to 2^31 - 1: that bound passes the
+    # check and reaches the allocation (stubbed here), 2^31 is refused first
+    class Allocated(Exception):
+        pass
+
+    def ones(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(modhyp.analysis, "np", SimpleNamespace(ones=ones, int32=None))
+    for study in (density_report, lambda a, x: next(dominance_scan(a, x))):
+        with pytest.raises(Allocated):
+            study(3, 2**31 - 1)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            study(3, 2**31)
 
 
 # ---------------------------------------------------------------- primorial

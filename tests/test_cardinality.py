@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhyp.arith import euler_phi, legendre, primes_up_to
+from modhyp.arith import euler_phi, primes_up_to
 from modhyp.cardinality import (
     DIFFERENCE,
     METHOD_CLOSED_FORM_ODD,
@@ -15,7 +15,6 @@ from modhyp.cardinality import (
     METHOD_SMALL_POWER,
     SUM,
     PartialResultError,
-    card_S2_components,
     card_S2_pp,
     card_signed_sumset,
     ratio_c2,
@@ -88,18 +87,9 @@ def test_card_reduces_a():
 # ---------------------------------------------------------------- components
 
 
-def test_components_examples():
-    for p in (3, 5, 7, 11, 13):
-        z = 2
-        while legendre(z, p) != -1:
-            z += 1
-        for t in (1, 2, 3):
-            assert card_S2_components(z, p, t)[1] == 0
-    assert card_S2_components(1, 5, 1) == (1, 2)
-    assert card_S2_components(1, 3, 2) == (0, 2)
-
-
 def test_components_brute_force():
+    # the odd-p sumset count is s1 + s2, counted here by brute force: the k
+    # with k^2 - a a square mod q, coprime to p (s1) or divisible by p (s2)
     for p, t, q in prime_powers_up_to(400):
         if p == 2:
             continue
@@ -109,22 +99,7 @@ def test_components_brute_force():
                 continue
             s1 = sum(1 for k in range(q) if (k * k - a) % q in squares and (k * k - a) % p != 0)
             s2 = sum(1 for k in range(q) if (k * k - a) % q in squares and (k * k - a) % p == 0)
-            assert card_S2_components(a, p, t) == (s1, s2), (a, p, t)
-
-
-def test_components_sum_to_sumset_count():
-    for p in (3, 5, 7, 13, 19):
-        for t in (1, 2, 3, 4):
-            for a in (1, 2, 3, p - 1, p + 1):
-                if math.gcd(a, p) != 1:
-                    continue
-                s1, s2 = card_S2_components(a, p, t)
-                assert s1 + s2 == card_S2_pp(a, p, t, SUM)
-
-
-def test_components_reject_two():
-    with pytest.raises(ValueError):
-        card_S2_components(1, 2, 3)
+            assert card_S2_pp(a, p, t, SUM) == s1 + s2, (a, p, t)
 
 
 # ---------------------------------------------------------------- composition

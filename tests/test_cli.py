@@ -21,7 +21,7 @@ from modhyp.analysis import (
 )
 from modhyp.arith import euler_phi
 from modhyp.cardinality import card_signed_sumset
-from modhyp.cli import build_parser, render_svg, resolve_threads, run, write_reports
+from modhyp.cli import build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points
 
 
@@ -42,6 +42,11 @@ def test_usage_errors_exit_1():
     assert code == 1
     code, _, err = run_cli(["ratio", "--a", "3", "--n", "9"])  # not coprime
     assert code == 1 and "error" in err
+    code, _, err = run_cli(["card", "--a", "1", "--n", "7", "--threads", "x"])
+    assert code == 1 and "--threads" in err
+    for command in ("scan", "density"):  # past the int32 sieve: refused before the header
+        code, out, err = run_cli([command, "--a", "3", "--max-n", str(2**31), "--format", "csv"])
+        assert (code, out) == (1, "") and "below 2^31" in err, command
 
 
 def test_help_exits_0():
@@ -93,11 +98,18 @@ def test_closed_stdout_exits_1_without_traceback():
 
 
 def test_budget_exhaustion_exits_2():
-    code, _, err = run_cli(
-        ["enumerate", "--d", "3", "--a", "1", "--n", "101", "--budget", "10"]
-    )
-    assert code == 2
-    assert "budget" in err
+    # phi(7)^(d-1) has about 4,360 digits at d = 5600, past the interpreter's
+    # int-to-str limit, and 7.8 million at d = 10^7: the check must stop at
+    # the first partial product over the budget, never format the power
+    for argv in (
+        ["enumerate", "--d", "3", "--a", "1", "--n", "101", "--budget", "10"],
+        ["card", "--d", "5600", "--a", "1", "--n", "7"],
+        ["card", "--d", str(10**7), "--a", "1", "--n", "7"],
+        ["enumerate", "--d", "5600", "--a", "1", "--n", "7"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert "budget" in err, argv
 
 
 # ---------------------------------------------------------------- ratio/card
@@ -545,18 +557,3 @@ def test_plot_unwritable_path_exits_1(tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {out_file}: ")
     assert err.count("\n") == 1
-
-
-# ---------------------------------------------------------------- threads
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("MODHYP_THREADS", raising=False)
-    assert resolve_threads(7) == 7
-    assert resolve_threads(None) >= 1
-    monkeypatch.setenv("MODHYP_THREADS", "5")
-    assert resolve_threads(None) == 5
-    assert resolve_threads(2) == 2  # explicit flag wins
-    monkeypatch.setenv("MODHYP_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
