@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -43,7 +43,7 @@ DIFFERENCE_DOMINANT = "difference-dominant"
 BALANCED = "balanced"
 
 _BOUND_PRIME_LIMIT = 100_000
-_SLICE = 1 << 14  # sieve entries turned into Python ints at a time
+_WINDOW = 1 << 13  # moduli per ratio sieve window
 _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
 
 
@@ -142,41 +142,181 @@ def _check_sieve_range(x: int) -> None:
         raise ValueError(f"range bound {x} must be below 2^31 (the ratio sieve is int32)")
 
 
-def _ratio_sieve(a: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """c2(a; n) = num[n] / den[n] for every n in 0..x, from closed forms.
+def _pow_mod(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b^e mod m elementwise, for int64 arrays with 0 <= b < m < 2^31, so
+    every product stays below 2^62."""
+    out = np.ones_like(m)
+    for i in range(int(e.max(initial=0)).bit_length()):
+        out = np.where((e >> i) & 1, out * b % m, out)
+        b = b * b % m
+    return out
 
-    Both are 0 at n = 0 and where gcd(a, n) > 1, else the products of the
-    numerators and denominators of the ratios at the prime powers of n.
-    The multiples of each q = p^t trade the factor of p^(t-1) for that of
-    p^t (exact division first), so no entry exceeds n.  Primes = 1 (mod 4)
-    have ratio 1 and are skipped.
+
+def _residues(a: int, m: np.ndarray) -> np.ndarray:
+    """a mod m elementwise (int64, 0 < m < 2^31), exact for an a of any
+    size: Horner's rule over the 30-bit limbs of |a|, each step below 2^62."""
+    limbs = []
+    rest = abs(a)
+    while rest:
+        limbs.append(rest & (1 << 30) - 1)
+        rest >>= 30
+    r = np.zeros_like(m)
+    for limb in reversed(limbs):
+        r = ((r << 30) + limb) % m
+    return -r % m if a < 0 else r
+
+
+def _prime_ratios(a: int, primes: np.ndarray, eligible: bool) -> tuple[np.ndarray, np.ndarray]:
+    """ratio_c2_pp(a, P, 1) at each prime P of an int64 array (P < 2^31),
+    as the reduced pairs (num, den).
+
+    (0, 0) where P | a.  A prime P = 3 (mod 4) gives ((P + e)/2, (P - e)/2)
+    with e its Legendre symbol at a (Euler's criterion), every other prime
+    (1, 1).  With eligible set, e = -1 gives (0, 0) as well.
+    """
+    r = _residues(a, primes)
+    num = (r != 0).astype(np.int64)
+    den = num.copy()
+    k = np.flatnonzero((primes & 3 == 3) & (r != 0))
+    p = primes[k]
+    e = np.where(_pow_mod(r[k], p >> 1, p) == 1, 1, -1)
+    num[k], den[k] = (p + e) >> 1, (p - e) >> 1
+    if eligible:
+        num[k[e < 0]] = den[k[e < 0]] = 0
+    return num, den
+
+
+def _column(pair: tuple[int, int], p: int) -> np.ndarray:
+    # the (3, 1) int32 column that scales a window's numerators and
+    # denominators by the ratio num/den and its smooth parts by p
+    return np.array([[pair[0]], [pair[1]], [p]], dtype=np.int32)
+
+
+def _multiples(primes: np.ndarray, start: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets in start..start+size-1 of the multiples of every prime
+    (int32), each with the index of its prime."""
+    first = -start % primes
+    count = (size - first + primes - 1) // primes
+    owner = np.repeat(np.arange(len(primes), dtype=np.int32), count)
+    offset = np.arange(len(owner), dtype=np.int32)
+    offset -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+    offset *= primes[owner]
+    offset += first[owner]
+    return offset, owner
+
+
+def _ratio_sieve(
+    a: int, x: int, lo: int = 1, eligible: bool = False
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """c2(a; n) = num[i] / den[i] at n = start + i, for every n in lo..x,
+    from closed forms, one window (start, num, den) of _WINDOW moduli at a
+    time, so memory is O(sqrt(x) + _WINDOW).
+
+    num and den are int32: 0 where gcd(a, n) > 1, else the products of the
+    reduced numerators and denominators of the ratios at the prime powers
+    of n, so no entry exceeds n.  With eligible set, the moduli divisible
+    by a prime p = 3 (mod 4) of Legendre symbol -1 at a are 0 as well.
+
+    Only the primes p <= sqrt(x) go through ratio_c2_pp, once per p^t <= x
+    before the first window.  In each window every multiple of p^t trades
+    the ratio at p^(t-1) for that at p^t (exact division first) and gains
+    a factor p in its smooth part: one scatter for all primes with few
+    multiples per window at t = 1, a strided update per prime power else.
+    What is left of n over its smooth part is 1 or one prime P > sqrt(x)
+    to the first power, whose factor _prime_ratios applies to the whole
+    window at once.
     """
     _check_sieve_range(x)
-    nd = np.ones((2, x + 1), dtype=np.int32)  # rows: numerators, denominators
-    nd[:, 0] = 0
-    for p in primes_up_to(x):
-        if a % p == 0:
-            nd[:, ::p] = 0
-        elif p % 4 != 1:
-            q, t, prev = p, 1, None
+    scattered = []  # (num, den, p): the ratio at each prime p >= dense, and p
+    strided = []  # (p^t, divisor or None, multiplier) for the other powers, in order
+    dense = _WINDOW >> 7  # below it a prime has over 128 multiples a window: stride them
+    for p in primes_up_to(math.isqrt(x)):
+        if a % p == 0 or eligible and p % 4 == 3 and _legendre_unchecked(a, p) < 0:
+            pairs = [(0, 0)]  # p kills its multiples
+        else:
+            pairs, q = [], p
             while q <= x:
-                r = ratio_c2_pp(a, p, t)
-                factor = np.array([[r.numerator], [r.denominator]], dtype=np.int32)
-                if prev is not None:
-                    nd[:, q::q] //= prev
-                nd[:, q::q] *= factor
-                prev = factor
-                q, t = q * p, t + 1
-    return nd[0], nd[1]
+                r = Fraction(1) if p % 4 == 1 else ratio_c2_pp(a, p, len(pairs) + 1)
+                pairs.append((r.numerator, r.denominator))
+                q *= p
+        if p < dense:
+            strided.append((p, None, _column(pairs[0], p)))
+        else:
+            scattered.append((*pairs[0], p))
+        for t in range(1, len(pairs)):
+            divisor = None if pairs[t - 1] == (1, 1) else _column(pairs[t - 1], 1)
+            strided.append((p ** (t + 1), divisor, _column(pairs[t], p)))
+    columns = np.array(scattered, dtype=np.int32).reshape(-1, 3).T
+    moduli = np.array([q for q, _, _ in strided], dtype=np.int64)
+    for start in range(lo, x + 1, _WINDOW):
+        size = min(_WINDOW, x + 1 - start)
+        block = np.ones((3, size), dtype=np.int32)  # numerators, denominators, smooth parts
+        at, owner = _multiples(columns[2], start, size)
+        for row, column in zip(block, columns):
+            np.multiply.at(row, at, column[owner])
+        for i in np.flatnonzero(-start % moduli < size).tolist():
+            q, divisor, multiplier = strided[i]
+            first = -start % q
+            if divisor is not None:
+                block[:, first::q] //= divisor
+            block[:, first::q] *= multiplier
+        live = np.flatnonzero(block[1])
+        rest = (live + start) // block[2, live]
+        large = rest > 1
+        num, den = _prime_ratios(a, rest[large], eligible)
+        live = live[large]
+        block[0, live] *= num
+        block[1, live] *= den
+        yield start, block[0], block[1]
 
 
-def _sieve_rows(num: np.ndarray, den: np.ndarray, lo: int) -> Iterator[tuple[int, ...]]:
-    """(n, num[n], den[n]) for n >= lo, a fixed slice at a time, so no
-    Python list spans the whole range."""
-    for start in range(lo, len(num), _SLICE):
-        stop = start + _SLICE
-        nums, dens = num[start:stop].tolist(), den[start:stop].tolist()
-        yield from zip(range(start, stop), nums, dens)
+def _best_below(f: Fraction, bound: int) -> Fraction:
+    """The largest fraction <= f (f >= 0) with denominator at most bound.
+
+    The best one-sided approximations of f are convergents and
+    semiconvergents of its continued fraction.  The last convergent within
+    the bound and the largest semiconvergent after it lie on opposite sides
+    of f (as in Fraction.limit_denominator), so the smaller one is it.
+    """
+    if f.denominator <= bound:
+        return f
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = f.numerator, f.denominator
+    while True:
+        k = n // d
+        q2 = q0 + k * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q2
+        n, d = d, n - k * d
+    j = (bound - q0) // q1
+    return min(Fraction(p1, q1), Fraction(p0 + j * p1, q0 + j * q1))
+
+
+def _above(threshold: Fraction, x: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The mask of sieve entries with d > 0 and s/d > threshold, exact in
+    int64 for entries s, d <= x < 2^31.
+
+    With k = floor(threshold) and p/q the largest fraction <= threshold - k
+    with q <= x, the pair passes iff e*q > d*p for e = clip(s - k*d, 0, d):
+    no fraction e/d with d <= x lies in (p/q, threshold - k].  Every product
+    stays below 2^62.  A negative threshold passes every live entry, and one
+    of x or more passes none (s/d <= n <= x).
+    """
+    if threshold < 0:
+        return lambda s, d: d > 0
+    k = math.floor(threshold)
+    if k >= x:
+        return lambda s, d: np.zeros(len(d), dtype=bool)
+    low = _best_below(threshold - k, x)
+    p, q = low.numerator, low.denominator
+
+    def mask(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+        d = d.astype(np.int64)
+        e = np.clip(s - k * d, 0, d)
+        return (d > 0) & (e * q > d * p)
+
+    return mask
 
 
 def dominance_report(a: int, n: int) -> DominanceReport:
@@ -189,33 +329,39 @@ def dominance_scan(
     a: int,
     n_max: int,
     threshold: Fraction | int | None = None,
+    skipped: list[int] | None = None,
 ) -> Iterator[DominanceReport]:
     """Reports for every n in [2, n_max] coprime to a, ascending, closed
-    forms only.  Moduli sharing a factor with a are skipped silently.
+    forms only.  Moduli sharing a factor with a are skipped silently; when
+    a list is given as skipped, the count of those in each sieve window is
+    appended to it.
 
-    The ratios come from one multiplicative sieve (_ratio_sieve) as integer
-    pairs s/d.  With threshold N/M, only n with s*M > d*N (exact, in Python
-    integers) are yielded, and only yielded rows get a Fraction and a
-    report.  One serial pass, each report yielded as soon as it is built,
-    so a consumer can stream them and the output order is deterministic.
+    The ratios come from the windowed multiplicative sieve (_ratio_sieve)
+    as integer pairs s/d.  With a threshold, only n with s/d above it are
+    yielded, selected by one exact int64 comparison (_above), and only
+    yielded rows get a Fraction and a report.  One serial pass, each report
+    yielded as soon as it is built, so a consumer can stream them and the
+    output order is deterministic.
     """
     if n_max < 2:
         return
     # with no threshold every (positive) ratio passes: compare against -1
-    bar = Fraction(-1 if threshold is None else threshold)
-    t_num, t_den = bar.numerator, bar.denominator
-    num, den = _ratio_sieve(a, n_max)
-    for n, s, d in _sieve_rows(num, den, 2):
-        if d and s * t_den > d * t_num:
+    above = _above(Fraction(-1 if threshold is None else threshold), n_max)
+    for start, num, den in _ratio_sieve(a, n_max, lo=2):
+        if skipped is not None:
+            skipped.append(len(den) - int(np.count_nonzero(den)))
+        rows = np.flatnonzero(above(num, den))
+        for n, s, d in zip((rows + start).tolist(), num[rows].tolist(), den[rows].tolist()):
             c2 = Fraction(s, d)
             yield DominanceReport(a, n, c2, classify(c2))
 
 
-def _floor_fraction(f: Fraction, digits: int = 12) -> Fraction:
-    # rounds toward zero at the given decimal precision, so a lower bound
-    # stays a lower bound and the value serializes compactly
-    scale = 10**digits
-    return Fraction(f.numerator * scale // f.denominator, scale)
+def _product(values: list[int]) -> int:
+    # a balanced product tree: the big multiplications come last and pair
+    # operands of equal size
+    while len(values) > 1:
+        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0] if values else 1
 
 
 def dominance_class_constant(a: int) -> Fraction:
@@ -240,41 +386,39 @@ def density_report(
 
     A modulus is eligible when coprime to a with symbol +1 at each of its
     3-mod-4 primes, and dominant when its ratio exceeds the threshold N/M.
-    The ratios s/d come from the sieve dominance_scan reads (_ratio_sieve),
-    with the moduli of 3-mod-4 primes of symbol -1 zeroed; s*M > d*N is
-    counted in Python integers, exact for every rational threshold.  Also
-    evaluates the truncated and tail-corrected lower bounds for the
-    asymptotic lower density at threshold 1 (both exact rationals, so
-    comparisons against them are certified).  At finite x the empirical
-    density falls short of them by about the share of balanced moduli; see
-    DensityReport.
+    The ratios s/d come window by window from the sieve dominance_scan
+    reads (_ratio_sieve), with the moduli of 3-mod-4 primes of symbol -1
+    zeroed, and are counted with the exact int64 comparison dominance_scan
+    selects its rows with (_above).  Also evaluates the truncated and
+    tail-corrected lower bounds for the asymptotic lower density at
+    threshold 1 (exact rationals floored to 12 decimals, so comparisons
+    against them are certified).  At finite x the empirical density falls
+    short of them by about the share of balanced moduli; see DensityReport.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
     if x < 2:
         raise ValueError("x must be >= 2")
     threshold = Fraction(threshold)
-    t_num, t_den = threshold.numerator, threshold.denominator
-    num, den = _ratio_sieve(a, x)
-    for p in primes_up_to(x):
-        if p % 4 == 3 and _legendre_unchecked(a, p) == -1:
-            num[p::p] = den[p::p] = 0
-    eligible = int(np.count_nonzero(den[1:]))
-    # a zeroed modulus has 0*M > 0*N, false at every threshold
-    dominant = sum(s * t_den > d * t_num for _, s, d in _sieve_rows(num, den, 1))
+    above = _above(threshold, x)
+    eligible = dominant = 0
+    for _, num, den in _ratio_sieve(a, x, eligible=True):
+        eligible += int(np.count_nonzero(den))
+        dominant += int(np.count_nonzero(above(num, den)))
     constant = dominance_class_constant(a)
     ps = [
         p
         for p in primes_up_to(prime_limit)
         if p % 4 == 3 and _legendre_unchecked(a, p) == 1
     ]
-    exact_truncated = constant * Fraction(
-        math.prod(p * p - 1 for p in ps), math.prod(p * p for p in ps)
-    )
-    # floor both bounds to 12 decimal places: the exact products carry
-    # tens of thousands of digits, and rounding down keeps them certified
-    truncated = _floor_fraction(exact_truncated)
-    rigorous = _floor_fraction(exact_truncated * (1 - Fraction(1, prime_limit)))
+    # both bounds are floored to 12 decimal places by one integer division:
+    # the exact products carry tens of thousands of digits, and rounding
+    # down keeps them certified
+    scale = 10**12
+    num = constant.numerator * _product([p * p - 1 for p in ps]) * scale
+    den = constant.denominator * _product([p * p for p in ps])
+    truncated = Fraction(num // den, scale)
+    rigorous = Fraction(num * (prime_limit - 1) // (den * prime_limit), scale)
     return DensityReport(
         a=a,
         x=x,

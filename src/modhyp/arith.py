@@ -21,11 +21,24 @@ __all__ = [
     "sqrt_mod_pp",
 ]
 
-# The first 13 primes make Miller-Rabin deterministic for all n below
-# psi_13 ~ 3.3 * 10^24 (Sorenson & Webster, Math. Comp. 86, 2017); the
-# first 12 alone only reach psi_12 ~ 3.2 * 10^23, which they call prime.
+# Miller-Rabin with the first k primes as witnesses is deterministic for
+# every n below psi_k (OEIS A014233; Sorenson & Webster, Math. Comp. 86,
+# 2017), and psi_k itself is a strong pseudoprime to those k bases, so n
+# takes the shortest prefix whose psi_k exceeds it.  The first 13 primes
+# reach psi_13 ~ 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PREFIXES = (  # (psi_k, k)
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),  # = psi_8
+    (3_825_123_056_546_413_051, 9),  # = psi_10 = psi_11
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -45,18 +58,22 @@ _TRIAL_PRIMES = primes_up_to(10_000)
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test (Miller-Rabin with the shortest proven
+    prefix of the first 13 primes as witnesses)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
+    for bound, k in _MR_PREFIXES:
+        if n < bound:
+            break
+    else:
         raise ValueError(f"{n} exceeds the deterministic witness range")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[:k]:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue

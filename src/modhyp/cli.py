@@ -481,14 +481,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     _check_sieve_range(args.max_n)  # the sieve runs lazily, after the CSV header
-    reports = dominance_scan(args.a, args.max_n, threshold=args.L)
+    skipped: list[int] = []
+    reports = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
     if args.format == "table":
         for rep in reports:
             print(f"n={rep.n} c2={_rat(rep.c2)} ({_dec(rep.c2)}) {rep.classification}")
     else:
         write_reports(reports, args.format, "dominance", sys.stdout)
-    skipped = sum(1 for n in range(2, args.max_n + 1) if math.gcd(args.a, n) != 1)
-    print(f"skipped {skipped} moduli sharing a factor with a={args.a}", file=sys.stderr)
+    print(f"skipped {sum(skipped)} moduli sharing a factor with a={args.a}", file=sys.stderr)
     return 0
 
 

@@ -49,19 +49,24 @@ _BLOCK = 1 << 14
 
 
 class EnumerationBudgetError(RuntimeError):
-    """An enumeration would evaluate more leading tuples than the budget allows.
+    """An enumeration would cost more than the budget allows.
 
-    tuple_count is the first of phi(n), phi(n)^2, ..., phi(n)^(d-1) over the
-    budget, a lower bound on the leading tuples (exact when it is the last).
+    The cost is the leading tuples plus ``_BLOCK`` for each of the d - 1
+    coordinate steps of a kernel call, so a huge d is refused even where
+    phi(n) = 1.  tuple_count is the first of phi(n), phi(n)^2,
+    ..., phi(n)^(d-1) over the budget, a lower bound on the leading tuples
+    (exact when it is the last), or all of them when the steps tip it over.
     """
 
-    def __init__(self, tuple_count: int, budget: int) -> None:
+    def __init__(self, tuple_count: int, budget: int, steps: int = 0) -> None:
         # a count past 1024 bits prints as the power of two below it, so the
         # message never meets the interpreter's int-to-str digit limit
         bits = tuple_count.bit_length()
         shown = tuple_count if bits <= 1024 else f"2^{bits - 1}"
+        charged = f" and {steps} coordinate steps at {_BLOCK} each" if steps else ""
         super().__init__(
-            f"enumeration needs at least {shown} leading tuples, over the budget of {budget}"
+            f"enumeration needs at least {shown} leading tuples{charged}, "
+            f"over the budget of {budget}"
         )
         self.tuple_count = tuple_count
         self.budget = budget
@@ -179,12 +184,16 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
     """phi(n)^(d-1), formed one factor at a time: the first partial product
-    over the budget is refused, so a huge d never builds its full power."""
+    over the budget is refused, so a huge d never builds its full power.
+    The d - 1 coordinate steps are charged on top, _BLOCK each."""
     phi, count = euler_phi(spec.n), 1
-    for _ in range(spec.d - 1):
+    steps = spec.d - 1
+    for _ in range(steps if phi > 1 else 0):
         count *= phi
         if count > budget:
             raise EnumerationBudgetError(count, budget)
+    if count + steps * _BLOCK > budget:
+        raise EnumerationBudgetError(count, budget, steps)
     return count
 
 

@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-import modhyp.analysis
+import modhyp.analysis as analysis
 from modhyp.analysis import (
     BALANCED,
     DIFFERENCE_DOMINANT,
@@ -19,8 +20,8 @@ from modhyp.analysis import (
     primorial_series,
     solve_sum_product,
 )
-from modhyp.arith import factorize, legendre
-from modhyp.cardinality import ratio_c2
+from modhyp.arith import factorize, legendre, primes_up_to
+from modhyp.cardinality import DIFFERENCE, SUM, card_S2_pp, ratio_c2
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
 
@@ -45,17 +46,21 @@ def test_dominance_report_examples():
 
 
 # The range studies read one ratio sieve; these tests compare it, modulus by
-# modulus, with ratio_c2 and legendre.  The last thresholds differ from 1 by
-# 10^-30, so s*M overflows any 64-bit product and a float reads them as 1.
-_SIEVE_AS = (1, 2, 3, 5, 7, 8, 15, 36, -3, 4 * 1009**2)
+# modulus, with ratio_c2 and legendre.  1019 and 1009 are prime factors of a
+# above sqrt(x), and 3 * 10^40 + 7 is past 2^64.  The thresholds 1 +- 10^-30
+# overflow any 64-bit product s*M and a float reads them as 1; 10^40 is past
+# every ratio.
+_SIEVE_AS = (1, 2, 3, 5, 7, 8, 15, 36, -3, -7, 1019, 4 * 1009**2, 3 * 10**40 + 7)
 _THRESHOLDS = (
     1,
     Fraction(3, 2),
+    Fraction(5, 2),
     Fraction(1, 3),
     0,
     Fraction(-1, 2),
     Fraction(10**30 + 1, 10**30),
     Fraction(10**30 - 1, 10**30),
+    10**40,
 )
 
 
@@ -70,6 +75,61 @@ def test_scan_ascending_skips_and_filters(a):
                 for n, c2 in ratios.items()
                 if n <= x and (threshold is None or c2 > threshold)
             ], (x, threshold)
+
+
+def _eligible(a, n):
+    return math.gcd(a, n) == 1 and all(
+        legendre(a, p) == 1 for p, _ in factorize(n).factors if p % 4 == 3
+    )
+
+
+@pytest.mark.parametrize("window", (97, analysis._WINDOW))
+def test_range_studies_across_windows(monkeypatch, window):
+    # many small windows, or three of the real size: window edges, powers
+    # that straddle them and cofactors left for the vectorized t = 1 factor
+    monkeypatch.setattr(analysis, "_WINDOW", window)
+    x = 3 * window - 7 if window > 97 else 2000
+    for a in (-7,) if window > 97 else (12, -7, 1019, 3 * 10**40 + 7):
+        ratios = {n: ratio_c2(a, n).value for n in range(1, x + 1) if math.gcd(a, n) == 1}
+        skipped = []
+        scanned = {r.n: r.c2 for r in dominance_scan(a, x, skipped=skipped)}
+        assert scanned == {n: c2 for n, c2 in ratios.items() if n > 1}
+        assert sum(skipped) == x - len(ratios)
+        eligible = [c2 for n, c2 in ratios.items() if _eligible(a, n)]
+        for threshold in (1, Fraction(10**30 - 1, 10**30), Fraction(4, 3)):
+            rep = density_report(a, x, threshold=threshold, prime_limit=100)
+            assert rep.eligible_count == len(eligible)
+            assert rep.dominant_count == sum(c2 > threshold for c2 in eligible)
+
+
+def test_prime_ratios_match_closed_forms():
+    # the vectorized t = 1 factor against card_S2_pp at every prime <= 10^5
+    primes = primes_up_to(10**5)
+    for a in (1, -1, 2, 3, 4, 11, 36):
+        for eligible in (False, True):
+            num, den = analysis._prime_ratios(a, np.array(primes, dtype=np.int64), eligible)
+            for p, s, d in zip(primes, num.tolist(), den.tolist()):
+                if a % p == 0 or eligible and p % 4 == 3 and legendre(a, p) < 0:
+                    assert (s, d) == (0, 0), (a, p)
+                else:
+                    r = Fraction(card_S2_pp(a, p, 1, SUM), card_S2_pp(a, p, 1, DIFFERENCE))
+                    assert (s, d) == (r.numerator, r.denominator), (a, p)
+
+
+def test_residues_of_any_size():
+    m = np.array(primes_up_to(5000) + [2**31 - 1], dtype=np.int64)
+    for a in (0, 1, -1, 2**30, -(2**62) - 5, 3 * 10**40 + 7, -(7**300)):
+        assert analysis._residues(a, m).tolist() == [a % int(q) for q in m], a
+
+
+def test_best_below_is_largest_bounded_fraction():
+    rng = random.Random(7)
+    cases = [Fraction(0), Fraction(1, 2), Fraction(10**30 - 1, 10**30), Fraction(999, 1000)]
+    cases += [Fraction(rng.randrange(10**6), 10**6 + rng.randrange(10**6)) for _ in range(60)]
+    for f in cases:
+        for bound in (1, 2, 3, 10, 97, 1000):
+            best = max(Fraction(math.floor(f * q), q) for q in range(1, bound + 1))
+            assert analysis._best_below(f, bound) == best, (f, bound)
 
 
 def test_scan_factor_breakdown_matches_report():
@@ -94,7 +154,6 @@ def test_scan_agrees_with_oracle():
 def test_two_prime_remark_cases():
     # exponent 1 on the larger prime keeps the conclusion; exponent 1 on
     # the smaller prime reverses both inequalities
-    from modhyp.arith import primes_up_to
     from modhyp.cardinality import ratio_c2_pp
 
     primes34 = [p for p in primes_up_to(50) if p % 4 == 3]
@@ -173,12 +232,7 @@ def test_density_eligibility_excludes_nonresidues():
 
 @pytest.mark.parametrize("a", (4, *_SIEVE_AS))
 def test_density_counts_threshold(a):
-    eligible = {
-        n: ratio_c2(a, n).value
-        for n in range(1, 2001)
-        if math.gcd(a, n) == 1
-        and all(legendre(a, p) == 1 for p, _ in factorize(n).factors if p % 4 == 3)
-    }
+    eligible = {n: ratio_c2(a, n).value for n in range(1, 2001) if _eligible(a, n)}
     for x in (2, 3, 100, 300, 2000):
         ratios = [c2 for n, c2 in eligible.items() if n <= x]
         for threshold in _THRESHOLDS:
@@ -196,14 +250,15 @@ def test_density_rejects_zero():
 
 def test_ratio_sieve_refuses_int32_overflow(monkeypatch):
     # the sieve's int32 entries hold n up to 2^31 - 1: that bound passes the
-    # check and reaches the allocation (stubbed here), 2^31 is refused first
+    # check and reaches numpy (stubbed here), 2^31 is refused first
     class Allocated(Exception):
         pass
 
-    def ones(*args, **kwargs):
-        raise Allocated
+    class Numpy:
+        def __getattr__(self, name):
+            raise Allocated
 
-    monkeypatch.setattr(modhyp.analysis, "np", SimpleNamespace(ones=ones, int32=None))
+    monkeypatch.setattr(analysis, "np", Numpy())
     for study in (density_report, lambda a, x: next(dominance_scan(a, x))):
         with pytest.raises(Allocated):
             study(3, 2**31 - 1)

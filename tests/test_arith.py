@@ -196,3 +196,46 @@ def test_psi12_is_composite():
     psi12 = 318665857834031151167461
     assert is_prime(psi12) is False
     assert factorize(psi12).factors == ((399165290221, 1), (798330580441, 1))
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233), for every k at which is_prime switches to a longer prefix
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_every_psi_is_composite():
+    for psi in _PSI[:-1]:
+        assert is_prime(psi) is False, psi
+        assert len(factorize(psi).factors) > 1, psi
+    with pytest.raises(ValueError, match="witness range"):
+        is_prime(_PSI[-1])  # past the 13-base range, refused rather than guessed
+
+
+def test_is_prime_matches_sieve():
+    limit = 10**6
+    flags = bytearray(limit + 1)
+    for p in primes_up_to(limit):
+        flags[p] = 1
+    assert all(is_prime.__wrapped__(n) == bool(flags[n]) for n in range(limit + 1))
+
+
+def test_is_prime_matches_sympy_on_64_bit_inputs():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(64)
+    cases = [rng.getrandbits(64) | 1 for _ in range(3000)]
+    cases += [sympy.nextprime(rng.getrandbits(64)) for _ in range(300)]
+    cases += [psi + d for psi in _PSI for d in range(-40, 41, 2) if psi + d < _PSI[-1]]
+    cases += [sympy.prevprime(psi) for psi in _PSI]  # the last prime each prefix proves
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n

@@ -106,10 +106,24 @@ def test_budget_exhaustion_exits_2():
         ["card", "--d", "5600", "--a", "1", "--n", "7"],
         ["card", "--d", str(10**7), "--a", "1", "--n", "7"],
         ["enumerate", "--d", "5600", "--a", "1", "--n", "7"],
+        # phi(2) = 1: one tuple at every d, but d - 1 kernel steps
+        ["card", "--d", "100000", "--a", "1", "--n", "2"],
+        ["card", "--d", str(10**7), "--a", "1", "--n", "2"],
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert "budget" in err, argv
+
+
+def test_budget_edge_in_dimension():
+    # at n = 2 the default budget of 10^8 holds the one tuple plus d - 1
+    # steps of 2^14 up to d = 6104
+    assert run_cli(["card", "--d", "6104", "--a", "1", "--n", "2"])[:2] == (
+        0,
+        "2^1: 1  [oracle]\ntotal 1\n",
+    )
+    code, out, err = run_cli(["card", "--d", "6105", "--a", "1", "--n", "2"])
+    assert (code, out) == (2, "") and "budget" in err
 
 
 # ---------------------------------------------------------------- ratio/card

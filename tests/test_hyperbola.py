@@ -8,6 +8,7 @@ import pytest
 
 from modhyp.arith import euler_phi, primes_up_to
 from modhyp.hyperbola import (
+    _BLOCK,
     EnumerationBudgetError,
     HyperbolaSpec,
     ResidueSet,
@@ -170,6 +171,18 @@ def test_signed_sumset_matches_naive():
 def test_signed_sumset_budget():
     with pytest.raises(EnumerationBudgetError):
         signed_sumset(HyperbolaSpec(2, 2, 1, 9), budget=5)
+
+
+def test_coordinate_steps_charged_to_budget():
+    # the kernel takes d - 1 numpy steps per block even at phi(n) = 1, so
+    # each step is charged _BLOCK tuples: the budget that exactly fits the
+    # tuples plus the steps passes, one less is refused before any work
+    for spec, tuples in ((HyperbolaSpec(40, 40, 1, 2), 1), (HyperbolaSpec(3, 2, 2, 5), 16)):
+        edge = tuples + (spec.d - 1) * _BLOCK
+        assert set(signed_sumset(spec, budget=edge)) == naive_signed_sumset(spec)
+        assert len(list(enumerate_points(spec, budget=edge))) == tuples
+        with pytest.raises(EnumerationBudgetError, match=f"{spec.d - 1} coordinate steps"):
+            signed_sumset(spec, budget=edge - 1)
 
 
 # ---------------------------------------------------------------- invariants
