@@ -102,6 +102,19 @@ def test_range_studies_across_windows(monkeypatch, window):
             assert rep.dominant_count == sum(c2 > threshold for c2 in eligible)
 
 
+def test_ratio_sieve_at_the_top_of_int32():
+    # the last window below 2^31: no entry, smooth part or product wraps
+    x = 2**31 - 1
+    for a in (-7, 4, 3 * 10**40 + 7):
+        for eligible in (False, True):
+            for start, num, den in analysis._ratio_sieve(a, x, x - 3000, eligible):
+                for n, s, d in zip(range(start, x + 1), num.tolist(), den.tolist()):
+                    if math.gcd(a, n) > 1 or eligible and not _eligible(a, n):
+                        assert (s, d) == (0, 0), (a, n)
+                    else:
+                        assert Fraction(s, d) == ratio_c2(a, n).value, (a, n)
+
+
 def test_prime_ratios_match_closed_forms():
     # the vectorized t = 1 factor against card_S2_pp at every prime <= 10^5
     primes = primes_up_to(10**5)
