@@ -8,6 +8,7 @@ sum and product.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -450,7 +451,8 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     a must be a positive perfect square coprime to every prime used, so
     its symbol is +1 at each of them.  Each row carries the ratio at the
     squarefree product (where it grows) and at the t-th power (where it
-    shrinks), next to log log of the product.
+    shrinks), next to log log of the product.  A row with an integer past
+    ``sys.get_int_max_str_digits()``, which could not be printed, is refused.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -463,12 +465,18 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     primorial = 1
     c_first = Fraction(1)
     c_power = Fraction(1)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 = none, before Python 3.10.7
     for k, p in enumerate(primes_3_mod_4(k_max), start=1):
         if a % p == 0:
             raise ValueError(f"a = {a} shares the prime factor {p} with the primorial")
         primorial *= p
         c_first *= ratio_c2_pp(a, p, 1)
         c_power *= ratio_c2_pp(a, p, t)
+        largest = max(primorial, *c_first.as_integer_ratio(), *c_power.as_integer_ratio())
+        if limit and largest >= 10**limit:
+            raise ValueError(
+                f"row k = {k} holds an integer of over {limit} digits, too long to print"
+            )
         rows.append(
             PrimorialRow(k, primorial, c_first, c_power, math.log(math.log(primorial)))
         )

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -343,6 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output file, or - for stdout")
     p.set_defaults(handler=_cmd_plot)
 
+    # argparse on Python 3.11 reads "-1/2" as an option and leaves --L without
+    # a value: take any word of "-", an optional "." and a digit for a number
+    for name in ("scan", "density"):
+        sub.choices[name]._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

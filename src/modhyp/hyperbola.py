@@ -104,52 +104,35 @@ class HyperbolaSpec:
 
 
 class ResidueSet:
-    """An immutable set of residues modulo n, stored as a dense bit mask.
-
-    Bit r of the mask is membership of residue r, so set equality and the
-    complement are word-wise integer operations and the cardinality is a
-    popcount (cached after first use).
+    """An immutable set of residues modulo n: entry r of a 1-D bool mask of
+    length n is membership of r.  The set keeps the mask it is given, with
+    no copy, and makes it read-only; ``to_mask`` returns it.  Iteration
+    yields the members in ascending order.
     """
 
-    __slots__ = ("modulus", "_bits", "_card")
+    __slots__ = ("modulus", "_mask")
 
-    def __init__(self, modulus: int, bits: int = 0) -> None:
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
-        if bits < 0 or bits >> modulus:
-            raise ValueError("bit mask has members outside [0, modulus)")
-        self.modulus = modulus
-        self._bits = bits
-        self._card: int | None = None
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "ResidueSet":
-        packed = np.packbits(mask.astype(bool, copy=False), bitorder="little")
-        return cls(mask.size, int.from_bytes(packed.tobytes(), "little"))
+    def __init__(self, mask: np.ndarray) -> None:
+        if mask.dtype != bool or mask.ndim != 1 or mask.size == 0:
+            raise ValueError("mask must be a non-empty 1-D bool array")
+        mask.setflags(write=False)
+        self.modulus = mask.size
+        self._mask = mask
 
     def to_mask(self) -> np.ndarray:
-        raw = np.frombuffer(
-            self._bits.to_bytes((self.modulus + 7) // 8, "little"), dtype=np.uint8
-        )
-        return np.unpackbits(raw, bitorder="little")[: self.modulus].astype(bool)
-
-    @property
-    def cardinality(self) -> int:
-        if self._card is None:
-            self._card = self._bits.bit_count()
-        return self._card
+        return self._mask
 
     def values(self) -> list[int]:
-        return np.flatnonzero(self.to_mask()).tolist()
+        return np.flatnonzero(self._mask).tolist()
 
     def complement(self) -> "ResidueSet":
-        return ResidueSet(self.modulus, ~self._bits & ((1 << self.modulus) - 1))
+        return ResidueSet(~self._mask)
 
     def __len__(self) -> int:
-        return self.cardinality
+        return int(np.count_nonzero(self._mask))
 
     def __contains__(self, r: int) -> bool:
-        return 0 <= r < self.modulus and (self._bits >> r) & 1 == 1
+        return 0 <= r < self.modulus and bool(self._mask[r])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values())
@@ -157,13 +140,13 @@ class ResidueSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueSet):
             return NotImplemented
-        return self.modulus == other.modulus and self._bits == other._bits
+        return np.array_equal(self._mask, other._mask)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self._bits))
+        return hash(self._mask.tobytes())
 
     def __repr__(self) -> str:
-        return f"ResidueSet(mod {self.modulus}, {self.cardinality} members)"
+        return f"ResidueSet(mod {self.modulus}, {len(self)} members)"
 
 
 @lru_cache(maxsize=192)
@@ -280,7 +263,7 @@ def signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> ResidueS
         mask[_mod(b + signs[-1] * c, n)] = True
         if mask.all():
             break
-    return ResidueSet.from_mask(mask)
+    return ResidueSet(mask)
 
 
 def sum_diff_sets(
@@ -294,7 +277,7 @@ def sum_diff_sets(
     for _, y, x in _blocks(n, [spec.a], (1,), 0, count):
         smask[(x + y) % n] = True
         dmask[(x - y) % n] = True
-    return ResidueSet.from_mask(smask), ResidueSet.from_mask(dmask)
+    return ResidueSet(smask), ResidueSet(dmask)
 
 
 def _check_table_modulus(n: int) -> None:

@@ -206,6 +206,16 @@ def test_scan_threshold_filter():
     assert rows and all(Fraction(r["c2"]) > 1 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["scan", "density"])
+def test_negative_threshold_as_own_word(command):
+    # argparse on Python 3.11 took "-1/2" for an option and left --L without a value
+    argv = [command, "--a", "11", "--max-n", "20", "--format", "csv"]
+    glued = run_cli([*argv, "--L=-1/2"])
+    assert glued[0] == 0
+    assert run_cli([*argv, "--L", "-1/2"]) == glued
+    assert run_cli([*argv, "--L", "-1e5"]) == run_cli([*argv, "--L=-100000"])
+
+
 def test_scan_csv_roundtrip():
     code, out, _ = run_cli(["scan", "--a", "4", "--max-n", "60", "--format", "csv"])
     assert code == 0
@@ -491,6 +501,21 @@ def test_primorial_command():
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["primorial"] for r in rows] == ["3", "21"]
     assert rows[1]["ratio_first_power"] == "8/3"
+
+
+def test_primorial_refuses_rows_past_int_str_limit():
+    # at the default limit of 4300 digits the 819th primorial is the first
+    # integer too long to print; a refused series prints nothing
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(["primorial", "--a", "4", "--k-max", "818", "--format", "csv"])
+        assert code == 0 and out.count("\n") == 819
+        for extra in (["--k-max", "819"], ["--k-max", "3", "--t", "20000"]):
+            code, out, err = run_cli(["primorial", "--a", "4", *extra])
+            assert (code, out) == (1, "") and "4300 digits" in err, extra
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_coverage_command():

@@ -63,7 +63,7 @@ def test_spec_signs():
 def from_mask(modulus, values):
     mask = np.zeros(modulus, dtype=bool)
     mask[list(values)] = True
-    return ResidueSet.from_mask(mask)
+    return ResidueSet(mask)
 
 
 def test_residue_set_basics():
@@ -71,17 +71,27 @@ def test_residue_set_basics():
     assert len(rs) == 3
     assert list(rs) == [0, 3, 6]
     assert 3 in rs and 4 not in rs
+    assert 0 in rs and 8 not in rs and -1 not in rs and 9 not in rs
     assert rs == from_mask(9, [6, 0, 3])
+    assert hash(rs) == hash(from_mask(9, [6, 0, 3]))
     assert rs != from_mask(10, [0, 3, 6])
     assert sorted(rs.complement()) == [1, 2, 4, 5, 7, 8]
+    empty, full = from_mask(5, []), from_mask(5, range(5))
+    assert empty.complement() == full and list(full.complement()) == []
+    assert len(empty) == 0 and not empty and len(full) == 5 and 4 in full
+    with pytest.raises(ValueError):
+        ResidueSet(np.zeros(0, dtype=bool))
+    with pytest.raises(ValueError):
+        ResidueSet(np.zeros((3, 3), dtype=bool))
 
 
 def test_residue_set_mask_roundtrip():
     mask = np.zeros(70, dtype=bool)
     mask[[0, 1, 63, 64, 69]] = True
-    rs = ResidueSet.from_mask(mask)
+    rs = ResidueSet(mask.copy())
     assert rs.values() == [0, 1, 63, 64, 69]
     assert np.array_equal(rs.to_mask(), mask)
+    assert not rs.to_mask().flags.writeable
 
 
 # ---------------------------------------------------------------- enumerate
