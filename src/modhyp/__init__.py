@@ -35,8 +35,6 @@ from .arith import (
     sqrt_mod_pp,
 )
 from .cardinality import (
-    DIFFERENCE,
-    SUM,
     CardinalityReport,
     FactorCount,
     PartialResultError,
@@ -66,7 +64,6 @@ __all__ = [
     "CoverageReport",
     "DEFAULT_BUDGET",
     "DensityReport",
-    "DIFFERENCE",
     "DIFFERENCE_DOMINANT",
     "DominanceReport",
     "EnumerationBudgetError",
@@ -78,7 +75,6 @@ __all__ = [
     "PrimorialRow",
     "RatioValue",
     "ResidueSet",
-    "SUM",
     "SUM_DOMINANT",
     "card_S2_pp",
     "card_signed_sumset",

@@ -434,15 +434,14 @@ def density_report(
     )
 
 
-def primes_3_mod_4(k: int) -> list[int]:
-    """The first k primes congruent to 3 mod 4."""
-    out: list[int] = []
+def primes_3_mod_4(k: int) -> Iterator[int]:
+    """The first k primes congruent to 3 mod 4, generated on demand."""
     cand = 3
-    while len(out) < k:
-        if cand % 4 == 3 and is_prime(cand):
-            out.append(cand)
-        cand += 2
-    return out
+    while k > 0:
+        if is_prime(cand):
+            yield cand
+            k -= 1
+        cand += 4
 
 
 def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:

@@ -2,6 +2,13 @@
 powers, their multiplicative composition over the factorization of n, and
 the exact sum/difference dominance ratio.
 
+Only the sumset has a closed form: y -> -y maps the hyperbola of a onto
+that of -a, so the difference set at a is the sumset at -a and its count is
+card_S2_pp(-a, p, t).  Criteria 01 and 03 check this against the
+enumeration oracle, which does not use the identity.  At odd p the sumset
+count depends only on the Legendre symbol of a; p mod 4 enters only
+through -a.
+
 Every count is an exact integer and every ratio an exact rational, so the
 dominance boundary at ratio 1 is decided without any rounding.
 """
@@ -22,7 +29,6 @@ from .hyperbola import (
 
 __all__ = [
     "CardinalityReport",
-    "DIFFERENCE",
     "FactorCount",
     "METHOD_CLOSED_FORM_ODD",
     "METHOD_CLOSED_FORM_P2",
@@ -31,15 +37,11 @@ __all__ = [
     "METHOD_SMALL_POWER",
     "PartialResultError",
     "RatioValue",
-    "SUM",
     "card_S2_pp",
     "card_signed_sumset",
     "ratio_c2",
     "ratio_c2_pp",
 ]
-
-SUM = "sum"
-DIFFERENCE = "difference"
 
 METHOD_CLOSED_FORM_P2 = "closed-form-p2"
 METHOD_CLOSED_FORM_ODD = "closed-form-odd-p"
@@ -96,22 +98,17 @@ def _exact_div(num: int, den: int, where: str) -> int:
     return num // den
 
 
-def _p2_count(a: int, t: int, q: int, kind: str) -> int:
-    if t <= 4:
-        if kind == DIFFERENCE:
-            # small-power difference counts come from the reflected sumset
-            a = (q - a) % q
-        if t <= 2:
-            return 1
-        if t == 3:
-            return 2 if a % 4 == 1 else 1
+def _p2_count(a: int, t: int) -> int:
+    if t <= 2:
+        return 1
+    if t == 3:
+        return 2 if a % 4 == 1 else 1
+    if t == 4:
         return 2
     r = a % 8
-    long_branch = (r == 7) if kind == DIFFERENCE else (r == 1)
-    mid_branch = (r in (1, 5)) if kind == DIFFERENCE else (r in (3, 7))
-    if long_branch:
+    if r == 1:
         return _exact_div((1 << (t - 4)) + (-1) ** (t - 1) + 9, 3, f"p=2, t={t}")
-    return 1 << (t - 3) if mid_branch else 1 << (t - 4)
+    return 1 << (t - 3) if r in (3, 7) else 1 << (t - 4)
 
 
 def _odd_count(p: int, t: int, square: bool) -> int:
@@ -125,16 +122,17 @@ def _odd_count(p: int, t: int, square: bool) -> int:
     return (p - 3) * pt1 // 2 + _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
 
 
-def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
-    """Exact planar sumset or difference-set cardinality at p^t.
+def card_S2_pp(a: int, p: int, t: int) -> int:
+    """Exact planar sumset cardinality at p^t.
 
-    kind is "sum" or "difference".  p = 2 splits on a mod 8 (with the
-    stated small-power values for t <= 4); odd p splits on p mod 4 and the
-    Legendre symbol of a.  Divisibility of each formula is checked, so a
-    non-integral branch value can never escape.
+    The difference set at a is the sumset at -a (y -> -y maps one hyperbola
+    onto the other), so its count is card_S2_pp(-a, p, t); criteria 01 and
+    03 check both against the enumeration oracle.  p = 2 splits on a mod 8
+    (with the stated small-power values for t <= 4); odd p depends only on
+    the Legendre symbol of a, so p mod 4 enters only through -a.
+    Divisibility of each formula is checked, so a non-integral branch value
+    can never escape.
     """
-    if kind not in (SUM, DIFFERENCE):
-        raise ValueError(f"kind must be {SUM!r} or {DIFFERENCE!r}")
     if t < 1:
         raise ValueError("exponent t must be >= 1")
     if not is_prime(p):
@@ -142,13 +140,8 @@ def card_S2_pp(a: int, p: int, t: int, kind: str) -> int:
     if math.gcd(a, p) != 1:
         raise ValueError(f"a = {a} must be a unit at p = {p}")
     if p == 2:
-        q = 1 << t
-        return _p2_count(a % q, t, q, kind)
-    square = _legendre_unchecked(a, p) == 1
-    if kind == DIFFERENCE:
-        # the difference set at a counts as the sumset at -a
-        square = (p % 4 == 1) == square
-    return _odd_count(p, t, square)
+        return _p2_count(a, t)
+    return _odd_count(p, t, _legendre_unchecked(a, p) == 1)
 
 
 def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CardinalityReport:
@@ -169,12 +162,12 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
     for p, t in factorize(spec.n).factors:
         q = p**t
         if spec.d == 2:
-            kind = DIFFERENCE if spec.m == 1 else SUM
             if p == 2:
                 method = METHOD_SMALL_POWER if t <= 4 else METHOD_CLOSED_FORM_P2
             else:
                 method = METHOD_CLOSED_FORM_ODD
-            done.append(FactorCount(p, t, card_S2_pp(spec.a, p, t, kind), method))
+            count = card_S2_pp(-spec.a if spec.m == 1 else spec.a, p, t)
+            done.append(FactorCount(p, t, count, method))
         elif p > 7:
             done.append(FactorCount(p, t, q, METHOD_FULL_COVERAGE))
         else:
@@ -193,7 +186,7 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
 
 def ratio_c2_pp(a: int, p: int, t: int) -> Fraction:
     """Per-prime-power dominance ratio |sumset| / |difference set|."""
-    return Fraction(card_S2_pp(a, p, t, SUM), card_S2_pp(a, p, t, DIFFERENCE))
+    return Fraction(card_S2_pp(a, p, t), card_S2_pp(-a, p, t))
 
 
 def ratio_c2(a: int, n: int) -> RatioValue:
@@ -208,6 +201,6 @@ def ratio_c2(a: int, n: int) -> RatioValue:
         raise ValueError(f"a = {a} must be coprime to n = {n}")
     num = den = 1
     for p, t in factorize(n).factors:
-        num *= card_S2_pp(a, p, t, SUM)
-        den *= card_S2_pp(a, p, t, DIFFERENCE)
+        num *= card_S2_pp(a, p, t)
+        den *= card_S2_pp(-a, p, t)
     return RatioValue(num, den, Fraction(num, den))

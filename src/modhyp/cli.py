@@ -36,13 +36,7 @@ from .analysis import (
     solve_sum_product,
 )
 from .arith import primes_up_to
-from .cardinality import (
-    DIFFERENCE,
-    SUM,
-    CardinalityReport,
-    card_S2_pp,
-    card_signed_sumset,
-)
+from .cardinality import CardinalityReport, card_S2_pp, card_signed_sumset
 from .hyperbola import (
     DEFAULT_BUDGET,
     HyperbolaSpec,
@@ -442,8 +436,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if math.gcd(a, q) != 1:
                 continue
             checked += 1
-            cs = card_S2_pp(a, p, t, SUM)
-            cd = card_S2_pp(a, p, t, DIFFERENCE)
+            cs = card_S2_pp(a, p, t)
+            cd = card_S2_pp(-a, p, t)
             if cs != int(sums[a]) or cd != int(diffs[a]):
                 mismatches += 1
                 print(

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,8 @@ from modhyp.analysis import (
     primorial_series,
     solve_sum_product,
 )
-from modhyp.arith import factorize, legendre, primes_up_to
-from modhyp.cardinality import DIFFERENCE, SUM, card_S2_pp, ratio_c2
+from modhyp.arith import factorize, is_prime, legendre, primes_up_to
+from modhyp.cardinality import card_S2_pp, ratio_c2
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
 
@@ -125,7 +126,7 @@ def test_prime_ratios_match_closed_forms():
                 if a % p == 0 or eligible and p % 4 == 3 and legendre(a, p) < 0:
                     assert (s, d) == (0, 0), (a, p)
                 else:
-                    r = Fraction(card_S2_pp(a, p, 1, SUM), card_S2_pp(a, p, 1, DIFFERENCE))
+                    r = Fraction(card_S2_pp(a, p, 1), card_S2_pp(-a, p, 1))
                     assert (s, d) == (r.numerator, r.denominator), (a, p)
 
 
@@ -283,7 +284,7 @@ def test_ratio_sieve_refuses_int32_overflow(monkeypatch):
 
 
 def test_primes_3_mod_4():
-    assert primes_3_mod_4(8) == [3, 7, 11, 19, 23, 31, 43, 47]
+    assert list(primes_3_mod_4(8)) == [3, 7, 11, 19, 23, 31, 43, 47]
 
 
 def test_primorial_examples():
@@ -315,6 +316,27 @@ def test_primorial_validates():
     assert "3" in str(err.value)
     with pytest.raises(ValueError):
         primorial_series(4, 3, t=1)
+
+
+def test_primorial_refusal_stops_at_the_refused_row(monkeypatch):
+    # the primes are generated row by row, so refusing row 819 (the first
+    # too long to print at 4300 digits) tests only the candidates up to it
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(analysis, "is_prime", counted)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="row k = 819 "):
+            primorial_series(4, 100_000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert calls < 10_000
 
 
 # ---------------------------------------------------------------- coverage

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from modhyp.arith import euler_phi, primes_up_to
 from modhyp.cardinality import (
-    DIFFERENCE,
     METHOD_CLOSED_FORM_ODD,
     METHOD_CLOSED_FORM_P2,
     METHOD_FULL_COVERAGE,
     METHOD_ORACLE,
     METHOD_SMALL_POWER,
-    SUM,
     PartialResultError,
     card_S2_pp,
     card_signed_sumset,
@@ -39,20 +37,18 @@ def prime_powers_up_to(bound):
 
 def test_card_examples():
     for a in (3, 11, 19, 27):  # a = 3 (mod 8)
-        assert card_S2_pp(a, 2, 5, DIFFERENCE) == 2
-    assert card_S2_pp(7, 2, 5, DIFFERENCE) == 4
-    assert card_S2_pp(4, 5, 1, SUM) == 3
+        assert card_S2_pp(-a, 2, 5) == 2
+    assert card_S2_pp(-7, 2, 5) == 4
+    assert card_S2_pp(4, 5, 1) == 3
 
 
 def test_card_validates():
     with pytest.raises(ValueError):
-        card_S2_pp(3, 6, 1, SUM)
+        card_S2_pp(3, 6, 1)
     with pytest.raises(ValueError):
-        card_S2_pp(10, 5, 2, SUM)
+        card_S2_pp(10, 5, 2)
     with pytest.raises(ValueError):
-        card_S2_pp(1, 5, 0, SUM)
-    with pytest.raises(ValueError):
-        card_S2_pp(1, 5, 1, "product")
+        card_S2_pp(1, 5, 0)
 
 
 def test_card_small_powers_of_two():
@@ -60,13 +56,13 @@ def test_card_small_powers_of_two():
     # always 2 at t = 4
     for t in (1, 2):
         for a in range(1, 2**t, 2):
-            assert card_S2_pp(a, 2, t, SUM) == 1
+            assert card_S2_pp(a, 2, t) == 1
     for a in (1, 5):
-        assert card_S2_pp(a, 2, 3, SUM) == 2
+        assert card_S2_pp(a, 2, 3) == 2
     for a in (3, 7):
-        assert card_S2_pp(a, 2, 3, SUM) == 1
+        assert card_S2_pp(a, 2, 3) == 1
     for a in range(1, 16, 2):
-        assert card_S2_pp(a, 2, 4, SUM) == 2
+        assert card_S2_pp(a, 2, 4) == 2
 
 
 def test_card_matches_oracle_prime_powers():
@@ -75,13 +71,17 @@ def test_card_matches_oracle_prime_powers():
         for a in range(1, q):
             if math.gcd(a, p) != 1:
                 continue
-            assert card_S2_pp(a, p, t, SUM) == int(sums[a]), (a, p, t)
-            assert card_S2_pp(a, p, t, DIFFERENCE) == int(diffs[a]), (a, p, t)
+            assert card_S2_pp(a, p, t) == int(sums[a]), (a, p, t)
+            assert card_S2_pp(-a, p, t) == int(diffs[a]), (a, p, t)
 
 
 def test_card_reduces_a():
-    assert card_S2_pp(7 + 32, 2, 5, DIFFERENCE) == card_S2_pp(7, 2, 5, DIFFERENCE)
-    assert card_S2_pp(-1, 5, 2, SUM) == card_S2_pp(24, 5, 2, SUM)
+    assert card_S2_pp(-7 - 32, 2, 5) == card_S2_pp(-7, 2, 5)
+    assert card_S2_pp(-1, 5, 2) == card_S2_pp(24, 5, 2)
+    # a negative a at p = 2, through the small-power table and the general branch
+    for t in range(1, 7):
+        for a in range(1, 2**t, 2):
+            assert card_S2_pp(-a, 2, t) == card_S2_pp(2**t - a, 2, t), (a, t)
 
 
 # ---------------------------------------------------------------- components
@@ -99,7 +99,7 @@ def test_components_brute_force():
                 continue
             s1 = sum(1 for k in range(q) if (k * k - a) % q in squares and (k * k - a) % p != 0)
             s2 = sum(1 for k in range(q) if (k * k - a) % q in squares and (k * k - a) % p == 0)
-            assert card_S2_pp(a, p, t, SUM) == s1 + s2, (a, p, t)
+            assert card_S2_pp(a, p, t) == s1 + s2, (a, p, t)
 
 
 # ---------------------------------------------------------------- composition
