@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,10 +48,9 @@ _WINDOW = 1 << 13  # moduli per ratio sieve window
 _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
 
 
-@dataclass(frozen=True)
-class DominanceReport:
-    """Classification of one modulus.  factor_breakdown, the ratio at each
-    prime power of n, is derived on demand from the factorization of n."""
+class DominanceReport(NamedTuple):
+    """Classification of one modulus, an immutable named tuple.  Its
+    factor_breakdown, the ratio at each prime power of n, is derived on demand."""
 
     a: int
     n: int
@@ -130,10 +129,12 @@ class CoverageReport:
 
 
 def classify(c2: Fraction) -> str:
-    """Dominance class of an exact ratio: above, at, or below 1."""
-    if c2 > 1:
+    """Dominance class of an exact ratio: above, at, or below 1.  The
+    denominator of a Fraction is positive, so the integers decide."""
+    num, den = c2.numerator, c2.denominator
+    if num > den:
         return SUM_DOMINANT
-    if c2 == 1:
+    if num == den:
         return BALANCED
     return DIFFERENCE_DOMINANT
 

@@ -91,8 +91,8 @@ def _rat(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _dec(f: Fraction | float) -> str:
-    return f"{float(f):.6f}"
+def _dec(f: Fraction) -> str:
+    return f"{f.numerator / f.denominator:.6f}"  # = float(f), minus numbers.Rational's detour
 
 
 # Each builder turns one report into its rows, each row a tuple of values
@@ -100,7 +100,8 @@ def _dec(f: Fraction | float) -> str:
 
 
 def _dominance_rows(r: DominanceReport) -> list[tuple]:
-    return [(r.a, r.n, _rat(r.c2), _dec(r.c2), r.classification)]
+    num, den = r.c2.numerator, r.c2.denominator
+    return [(r.a, r.n, f"{num}/{den}", f"{num / den:.6f}", r.classification)]
 
 
 def _card_rows(rep: CardinalityReport) -> list[tuple]:
@@ -193,8 +194,9 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     """
     header = _HEADERS[kind]
     build = _BUILDERS[kind]
-    rows = (map(str, row) for rep in reports for row in build(rep))
+    rows = (row for rep in reports for row in build(rep))
     if fmt == "csv":
+        # csv.writer calls str on each value: no builder yields None or a float
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -204,7 +206,7 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
         keys = [f"    {json.dumps(k)}: " for k in header]
         sep = "[\n"
         for row in rows:
-            body = ",\n".join(k + json.dumps(v) for k, v in zip(keys, row))
+            body = ",\n".join(k + json.dumps(str(v)) for k, v in zip(keys, row))
             out.write(f"{sep}  {{\n{body}\n  }}")
             sep = ",\n"
         out.write("[]\n" if sep == "[\n" else "\n]\n")

@@ -33,6 +33,11 @@ def test_classify():
     assert classify(Fraction(8, 7)) == SUM_DOMINANT
     assert classify(Fraction(1)) == BALANCED
     assert classify(Fraction(2, 3)) == DIFFERENCE_DOMINANT
+    # 1 +- 10^-30 read as 1 in a float; a negative sign lands on the numerator
+    cases = (Fraction(10**30 + 1, 10**30), Fraction(10**30 - 1, 10**30), Fraction(-1, 2))
+    for c2 in (*cases, Fraction(3, -2), Fraction(-5, -4), 0, 1, 2, -1):
+        expected = SUM_DOMINANT if c2 > 1 else BALANCED if c2 == 1 else DIFFERENCE_DOMINANT
+        assert classify(c2) == expected, c2
 
 
 def test_dominance_report_examples():
@@ -44,6 +49,24 @@ def test_dominance_report_examples():
         (7, 2, Fraction(16, 21)),
     )
     assert dominance_report(2, 625).classification == BALANCED
+
+
+def test_dominance_report_contract():
+    reports = [dominance_report(11, 441), dominance_report(-7, 9000)]
+    reports += list(dominance_scan(1019, 300)) + list(dominance_scan(-7, 300, Fraction(3, 2)))
+    for rep in reports:
+        assert type(rep.c2) is Fraction
+        assert rep.c2.denominator > 0 and math.gcd(rep.c2.numerator, rep.c2.denominator) == 1
+        assert rep.c2 == ratio_c2(rep.a, rep.n).value
+        assert rep.classification == classify(rep.c2)
+        assert rep._fields == ("a", "n", "c2", "classification")
+        assert tuple(rep) == (rep.a, rep.n, rep.c2, rep.classification)
+    rep = reports[0]
+    for field in (*rep._fields, "factor_breakdown", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rep, field, 1)
+    assert rep == (11, 441, Fraction(8, 7), SUM_DOMINANT)
+    assert {rep: 1}[dominance_report(11, 441)] == 1  # hashable, equal by value
 
 
 # The range studies read one ratio sieve; these tests compare it, modulus by

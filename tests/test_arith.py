@@ -2,8 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint as sympy_factorint
+from sympy import nextprime as sympy_nextprime
+from sympy import prevprime as sympy_prevprime
+from sympy.functions.combinatorial.numbers import legendre_symbol as sympy_legendre_symbol
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from modhyp.arith import (
     PrimeFactorization,
@@ -239,3 +244,132 @@ def test_is_prime_matches_sympy_on_64_bit_inputs():
     cases += [sympy.prevprime(psi) for psi in _PSI]  # the last prime each prefix proves
     for n in cases:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# ---------------------------------------------------------------- differential: sympy
+
+# factorize, legendre and sqrt_mod_pp against sympy's factorint,
+# legendre_symbol and sqrt_mod, up to the 13-base witness range and past it
+_PSI12, _PSI13 = _PSI[-2], _PSI[-1]
+
+
+def _chernick(k):
+    # (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when all three are prime
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+# 1729, the largest Chernick numbers below 2^64, psi_12 and psi_13, and the first above psi_13
+_CARMICHAEL = (561, 1105, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 3215031751)
+_CARMICHAEL += tuple(_chernick(k) for k in (1, 242160, 6264765, 13678205))
+_CARMICHAEL_PAST_PSI13 = _chernick(13679106)
+
+
+def _sympy_factors(n):
+    return tuple(sorted((int(p), e) for p, e in sympy_factorint(n).items()))
+
+
+def _trial_cofactor(n):
+    # what factorize leaves for Miller-Rabin after its trial division
+    for p in primes_up_to(10_000):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def _primes_below(bound):
+    return st.integers(min_value=3, max_value=bound - 1).map(sympy_prevprime)
+
+
+_PRIMES = st.one_of(
+    st.sampled_from([2, *ODD_PRIMES_100]),
+    _primes_below(2**64),
+    _primes_below(_PSI12),
+    _primes_below(_PSI13),
+    st.just(sympy_prevprime(_PSI13)),
+)
+
+
+def _product_below_psi13(primes):
+    # prime powers and mixed sizes: each prime joins while the product stays in range
+    n = 1
+    for p in primes:
+        if n * p < _PSI13:
+            n *= p
+    return n
+
+
+def test_carmichael_numbers_are_carmichael():
+    # Korselt's criterion, from sympy's factorization: squarefree, and p - 1 | n - 1
+    for n in (*_CARMICHAEL, _CARMICHAEL_PAST_PSI13):
+        factors = sympy_factorint(n)
+        assert len(factors) >= 3 and set(factors.values()) == {1}, n
+        assert all((n - 1) % (p - 1) == 0 for p in factors), n
+
+
+@pytest.mark.parametrize("n", _CARMICHAEL)
+def test_factorize_carmichael_matches_sympy(n):
+    assert is_prime(n) is False
+    assert factorize(n).factors == _sympy_factors(n)
+    with pytest.raises(ValueError, match="not an odd prime"):
+        legendre(2, n)
+    with pytest.raises(ValueError, match="not prime"):
+        sqrt_mod_pp(2, n, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=2**64),
+        st.integers(min_value=_PSI12 - 10**6, max_value=_PSI12 - 1),
+        st.integers(min_value=_PSI13 - 10**6, max_value=_PSI13 - 1),
+        st.lists(_PRIMES, min_size=1, max_size=8).map(_product_below_psi13),
+    )
+)
+def test_factorize_matches_sympy(n):
+    assert factorize(n).factors == _sympy_factors(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=_PSI13, max_value=2**128))
+@example(_PSI13)
+@example(_CARMICHAEL_PAST_PSI13)
+@example(sympy_nextprime(_PSI13))
+def test_refusal_at_or_above_psi13(n):
+    cofactor = _trial_cofactor(n)
+    if cofactor >= _PSI13:
+        with pytest.raises(ValueError, match="witness range"):
+            factorize(n)
+    else:
+        assert factorize(n).factors == _sympy_factors(n)
+    if all(n % p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+        for call in (lambda: is_prime(n), lambda: legendre(3, n), lambda: sqrt_mod_pp(3, n, 1)):
+            with pytest.raises(ValueError, match="witness range"):
+                call()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-(10**30), max_value=10**30), _PRIMES.filter(lambda p: p > 2))
+def test_legendre_matches_sympy(a, p):
+    assert legendre(a, p) == sympy_legendre_symbol(a, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=-(10**6), max_value=_PSI13 - 1))
+def test_legendre_refuses_what_sympy_refuses(n):
+    a = 5
+    try:
+        expected = sympy_legendre_symbol(a, n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            legendre(a, n)
+    else:
+        assert legendre(a, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMES, st.integers(min_value=1, max_value=6), st.integers(min_value=-(10**30), max_value=10**30))
+def test_sqrt_mod_pp_matches_sympy(p, t, a):
+    assume(a % p)
+    assert sqrt_mod_pp(a, p, t) == sorted(sympy_sqrt_mod(a, p**t, all_roots=True))

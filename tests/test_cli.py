@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -241,6 +242,29 @@ def test_card_csv_roundtrip():
             fc.method,
         )
         assert int(row["total"]) == rep.total
+
+
+# sha256 of scan stdout, pinned from an earlier release: row records and
+# number formatting may change, the bytes may not.  The first two span three
+# sieve windows of 2^13 moduli.
+_SCAN_SHA256 = {
+    ("--a", "1019", "--max-n", "20000", "--format", "csv"):
+        "227b0410f0c066409d729fa2e2d976f1c3055087cbc42e1ce6d68f68dd50a278",
+    ("--a", "1019", "--max-n", "20000", "--format", "json", "--L", "1"):
+        "b8384404a8c233e67d3c80902d0b300dc6e9b925752c841b91a834cedb4f05c9",
+    ("--a", "-7", "--max-n", "9000", "--L", "-1/2", "--format", "table"):
+        "2f581f48026dc30016e240e96ba7b855af35b743a2757d121575715cd335f516",
+    ("--a", "4", "--max-n", "3000", "--L", "3/2", "--format", "csv"):
+        "255053c978d04f3e56ac9321c0c1d5c406772b662bc272e18498f569090ff3e8",
+}
+
+
+@pytest.mark.parametrize("argv", list(_SCAN_SHA256), ids=" ".join)
+def test_scan_output_bytes_pinned(argv):
+    code, out, err = run_cli(["scan", *argv])
+    assert code == 0
+    assert err.startswith("skipped ")
+    assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256[argv]
 
 
 def test_scan_json_parses():
