@@ -16,8 +16,8 @@ dominance boundary at ratio 1 is decided without any rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import _legendre_unchecked, factorize, is_prime
 from .hyperbola import (
@@ -50,9 +50,9 @@ METHOD_FULL_COVERAGE = "full-coverage-d>2"
 METHOD_ORACLE = "oracle"
 
 
-@dataclass(frozen=True)
-class FactorCount:
-    """One prime-power factor's count and the method that produced it."""
+class FactorCount(NamedTuple):
+    """One prime-power factor's count and the method that produced it.  The
+    count field shadows tuple.count."""
 
     p: int
     t: int
@@ -60,8 +60,7 @@ class FactorCount:
     method: str
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(NamedTuple):
     """Per-prime-power counts and their product for one signed-sumset spec."""
 
     spec: HyperbolaSpec
@@ -69,8 +68,7 @@ class CardinalityReport:
     total: int
 
 
-@dataclass(frozen=True)
-class RatioValue:
+class RatioValue(NamedTuple):
     """Exact dominance ratio: |sumset| over |difference set|."""
 
     numerator: int
@@ -159,28 +157,29 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
     """
     done: list[FactorCount] = []
     blocked: list[tuple[int, int]] = []
+    signed_a = -spec.a if spec.m == 1 else spec.a
+    total = 1
     for p, t in factorize(spec.n).factors:
-        q = p**t
         if spec.d == 2:
             if p == 2:
                 method = METHOD_SMALL_POWER if t <= 4 else METHOD_CLOSED_FORM_P2
             else:
                 method = METHOD_CLOSED_FORM_ODD
-            count = card_S2_pp(-spec.a if spec.m == 1 else spec.a, p, t)
-            done.append(FactorCount(p, t, count, method))
+            count = card_S2_pp(signed_a, p, t)
         elif p > 7:
-            done.append(FactorCount(p, t, q, METHOD_FULL_COVERAGE))
+            count, method = p**t, METHOD_FULL_COVERAGE
         else:
+            q = p**t
             sub = HyperbolaSpec(spec.d, spec.m, spec.a % q, q)
             try:
-                attained = signed_sumset(sub, budget=budget)
+                count, method = len(signed_sumset(sub, budget=budget)), METHOD_ORACLE
             except EnumerationBudgetError:
                 blocked.append((p, t))
                 continue
-            done.append(FactorCount(p, t, len(attained), METHOD_ORACLE))
+        done.append(FactorCount(p, t, count, method))
+        total *= count
     if blocked:
         raise PartialResultError(tuple(done), tuple(blocked))
-    total = math.prod(fc.count for fc in done)
     return CardinalityReport(spec, tuple(done), total)
 
 

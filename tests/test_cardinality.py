@@ -12,7 +12,10 @@ from modhyp.cardinality import (
     METHOD_FULL_COVERAGE,
     METHOD_ORACLE,
     METHOD_SMALL_POWER,
+    CardinalityReport,
+    FactorCount,
     PartialResultError,
+    RatioValue,
     card_S2_pp,
     card_signed_sumset,
     ratio_c2,
@@ -164,6 +167,32 @@ def test_partial_result_error():
     assert err.value.uncomputed == ((7, 1),)
     assert [f.p for f in err.value.computed] == [11]
     assert "7^1" in str(err.value)
+    # the computed factors keep factor order around the blocked ones
+    with pytest.raises(PartialResultError) as err:
+        card_signed_sumset(HyperbolaSpec(3, 3, 1, 2 * 5 * 7 * 11 * 13), budget=32770)
+    assert err.value.computed == (
+        FactorCount(2, 1, 1, METHOD_ORACLE),
+        FactorCount(11, 1, 11, METHOD_FULL_COVERAGE),
+        FactorCount(13, 1, 13, METHOD_FULL_COVERAGE),
+    )
+    assert all(type(f) is FactorCount for f in err.value.computed)
+    assert err.value.uncomputed == ((5, 1), (7, 1))
+
+
+def test_report_records_contract():
+    assert FactorCount._fields == ("p", "t", "count", "method")
+    assert CardinalityReport._fields == ("spec", "per_factor", "total")
+    assert RatioValue._fields == ("numerator", "denominator", "value")
+    fc = FactorCount(3, 2, 5, METHOD_CLOSED_FORM_ODD)
+    assert fc.count == 5  # the field shadows tuple.count
+    rep = card_signed_sumset(HyperbolaSpec(2, 2, 7, 360))
+    for record, name in ((fc, "count"), (rep, "total"), (ratio_c2(11, 441), "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    num, den, value = ratio_c2(11, 441)
+    assert value == Fraction(num, den) == Fraction(8, 7)
 
 
 def test_factor_product_order_invariant():

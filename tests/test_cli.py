@@ -21,7 +21,7 @@ from modhyp.analysis import (
     solve_sum_product,
 )
 from modhyp.arith import euler_phi
-from modhyp.cardinality import card_signed_sumset
+from modhyp.cardinality import card_S2_pp, card_signed_sumset
 from modhyp.cli import build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points
 
@@ -164,10 +164,48 @@ def test_balanced_csv_row():
 # ---------------------------------------------------------------- verify
 
 
+def _units(n):
+    return [a for a in range(1, n) if math.gcd(a, n) == 1]
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def test_verify_sweep_clean():
-    code, out, _ = run_cli(["verify", "--max-pp", "128", "--max-n", "40"])
-    assert code == 0
-    assert "0 mismatches" in out
+    # the case counts come from math.gcd alone, so a sweep that skips a case
+    # or checks one twice changes the summary
+    pp = sum(len(_units(q)) for q in range(2, 129) if _is_prime_power(q))
+    comp = sum(len(_units(n)) for n in range(2, 41))
+    code, out, err = run_cli(["verify", "--max-pp", "128", "--max-n", "40"])
+    assert (code, err) == (0, "")
+    assert out == f"verified {pp} prime-power cases and {comp} composite cases: 0 mismatches\n"
+
+
+def test_verify_reports_each_mismatch(monkeypatch):
+    def off_pp(a, p, t):
+        return card_S2_pp(a, p, t) + ((a, p, t) == (2, 5, 1))
+
+    def off_card(spec):
+        rep = card_signed_sumset(spec)
+        hit = spec == HyperbolaSpec(2, 2, 7, 12)
+        return rep._replace(total=rep.total + 1) if hit else rep
+
+    monkeypatch.setattr("modhyp.cli.card_S2_pp", off_pp)
+    monkeypatch.setattr("modhyp.cli.card_signed_sumset", off_card)
+    s, d = card_S2_pp(2, 5, 1), card_S2_pp(-2, 5, 1)
+    cs = card_signed_sumset(HyperbolaSpec(2, 2, 7, 12)).total
+    cd = card_signed_sumset(HyperbolaSpec(2, 1, 7, 12)).total
+    code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12"])
+    assert code == 2
+    assert out.endswith(": 2 mismatches\n")
+    assert err.splitlines() == [
+        f"mismatch at a=2, q=5^1: closed form ({s + 1}, {d}) vs oracle ({s}, {d})",
+        f"mismatch at a=7, n=12: composed ({cs + 1}, {cd}) vs oracle ({cs}, {cd})",
+    ]
 
 
 def test_verify_refuses_over_limit_before_sweep(monkeypatch):
