@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -64,9 +63,9 @@ class DominanceReport(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Empirical dominance density among eligible moduli, and lower bounds.
+class DensityReport(NamedTuple):
+    """Empirical dominance density among eligible moduli, and lower bounds,
+    an immutable named tuple.
 
     A modulus is eligible when it is coprime to a and every prime
     p = 3 (mod 4) dividing it has Legendre symbol +1 at a.  The truncated
@@ -96,8 +95,7 @@ class DensityReport:
     prime_limit: int
 
 
-@dataclass(frozen=True)
-class PrimorialRow:
+class PrimorialRow(NamedTuple):
     """One step of the primorial ratio series."""
 
     k: int
@@ -107,15 +105,13 @@ class PrimorialRow:
     loglog: float
 
 
-@dataclass(frozen=True)
-class PrimorialReport:
+class PrimorialReport(NamedTuple):
     a: int
     t: int
     rows: tuple[PrimorialRow, ...]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Which residues the signed sumset attains, for d >= 3.
 
     guaranteed is True when every prime factor of n exceeds 7, the regime
@@ -435,6 +431,13 @@ def density_report(
     )
 
 
+def _too_long(p: int, e: int) -> int:
+    """The int-to-str digit limit if p^e (p >= 2, e >= 0) has more digits,
+    else 0.  p^e is formed only within a digit of the limit, so a huge e is cheap."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 = none, before Python 3.10.7
+    return limit if limit and (e * math.log10(p) > limit + 1 or p**e >= 10**limit) else 0
+
+
 def primes_3_mod_4(k: int) -> Iterator[int]:
     """The first k primes congruent to 3 mod 4, generated on demand."""
     cand = 3
@@ -469,6 +472,9 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     for k, p in enumerate(primes_3_mod_4(k_max), start=1):
         if a % p == 0:
             raise ValueError(f"a = {a} shares the prime factor {p} with the primorial")
+        # row 1's ratio at 3^t has the denominator 3^(t-1): refuse it unformed
+        if k == 1 and _too_long(p, t - 1):
+            raise ValueError(f"row k = 1 holds an integer of over {limit} digits, too long to print")
         primorial *= p
         c_first *= ratio_c2_pp(a, p, 1)
         c_power *= ratio_c2_pp(a, p, t)
@@ -503,7 +509,8 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
     substitution before it is returned.
 
     Raises:
-        ValueError: p is not a prime exceeding 7, or p divides a.
+        ValueError: p is not a prime exceeding 7, p divides a, or p^t has
+            over ``sys.get_int_max_str_digits()`` digits, too long to print.
         RuntimeError: the scan or the substitution check failed (cannot
             happen for p > 7).
     """
@@ -513,6 +520,8 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
         raise ValueError("exponent t must be >= 1")
     if a % p == 0:
         raise ValueError(f"a = {a} must be a unit modulo {p}")
+    if limit := _too_long(p, t):
+        raise ValueError(f"modulus {p}^{t} has over {limit} digits, too long to print")
     q = p**t
     a_q, b_q = a % q, b % q
     a_p, b_p = a % p, b % p

@@ -202,11 +202,12 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
         writer.writerows(rows)
     elif fmt == "json":
         # the layout json.dumps gives the whole list at indent=2, written
-        # one object at a time; json.dumps escapes every key and value
+        # one object at a time; a str is escaped by json.dumps's own encoder
         keys = [f"    {json.dumps(k)}: " for k in header]
+        encode = json.encoder.encode_basestring_ascii
         sep = "[\n"
         for row in rows:
-            body = ",\n".join(k + json.dumps(str(v)) for k, v in zip(keys, row))
+            body = ",\n".join(k + encode(str(v)) for k, v in zip(keys, row))
             out.write(f"{sep}  {{\n{body}\n  }}")
             sep = ",\n"
         out.write("[]\n" if sep == "[\n" else "\n]\n")

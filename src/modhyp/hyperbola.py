@@ -106,8 +106,8 @@ class HyperbolaSpec:
 class ResidueSet:
     """An immutable set of residues modulo n: entry r of a 1-D bool mask of
     length n is membership of r.  The set keeps the mask it is given, with
-    no copy, and makes it read-only; ``to_mask`` returns it.  Iteration
-    yields the members in ascending order.
+    no copy, and makes it read-only.  Iteration yields the members in
+    ascending order.
     """
 
     __slots__ = ("modulus", "_mask")
@@ -118,9 +118,6 @@ class ResidueSet:
         mask.setflags(write=False)
         self.modulus = mask.size
         self._mask = mask
-
-    def to_mask(self) -> np.ndarray:
-        return self._mask
 
     def values(self) -> list[int]:
         return np.flatnonzero(self._mask).tolist()

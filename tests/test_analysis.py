@@ -11,6 +11,10 @@ from modhyp.analysis import (
     BALANCED,
     DIFFERENCE_DOMINANT,
     SUM_DOMINANT,
+    CoverageReport,
+    DensityReport,
+    PrimorialReport,
+    PrimorialRow,
     classify,
     coverage_check,
     density_report,
@@ -67,6 +71,36 @@ def test_dominance_report_contract():
             setattr(rep, field, 1)
     assert rep == (11, 441, Fraction(8, 7), SUM_DOMINANT)
     assert {rep: 1}[dominance_report(11, 441)] == 1  # hashable, equal by value
+
+
+def test_study_records_contract():
+    assert DensityReport._fields == (
+        "a",
+        "x",
+        "threshold",
+        "eligible_count",
+        "dominant_count",
+        "empirical_density",
+        "class_constant",
+        "bound_truncated",
+        "bound_rigorous",
+        "prime_limit",
+    )
+    assert PrimorialRow._fields == ("k", "primorial", "ratio_first_power", "ratio_power_t", "loglog")
+    assert PrimorialReport._fields == ("a", "t", "rows")
+    assert CoverageReport._fields == ("spec", "covered", "missing", "guaranteed")
+    primorial = primorial_series(4, 2)
+    records = [
+        density_report(4, 300),
+        primorial,
+        *primorial.rows,
+        coverage_check(HyperbolaSpec(3, 3, 1, 3)),
+    ]
+    for record in records:
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+    assert tuple(primorial.rows[1])[:3] == (2, 21, Fraction(8, 3))
 
 
 # The range studies read one ratio sieve; these tests compare it, modulus by
@@ -337,6 +371,8 @@ def test_primorial_validates():
     with pytest.raises(ValueError) as err:
         primorial_series(9, 3)  # shares the prime 3
     assert "3" in str(err.value)
+    with pytest.raises(ValueError, match="shares the prime factor 3"):
+        primorial_series(9, 1, t=10**9)  # refused before the digit limit is tested
     with pytest.raises(ValueError):
         primorial_series(4, 3, t=1)
 
@@ -419,3 +455,5 @@ def test_solver_validates():
         solve_sum_product(0, 1, 12, 1)
     with pytest.raises(ValueError):
         solve_sum_product(0, 11, 11, 1)
+    with pytest.raises(ValueError, match="must be a unit"):
+        solve_sum_product(0, 11, 11, 10**9)  # refused before the digit limit is tested

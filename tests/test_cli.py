@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -31,6 +32,69 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------- package surface
+
+# every name the package exported before its __all__ was formed from the
+# layers' lists
+_PACKAGE_NAMES = [
+    "BALANCED",
+    "CardinalityReport",
+    "CoverageReport",
+    "DEFAULT_BUDGET",
+    "DensityReport",
+    "DIFFERENCE_DOMINANT",
+    "DominanceReport",
+    "EnumerationBudgetError",
+    "FactorCount",
+    "HyperbolaSpec",
+    "PartialResultError",
+    "PrimeFactorization",
+    "PrimorialReport",
+    "PrimorialRow",
+    "RatioValue",
+    "ResidueSet",
+    "SUM_DOMINANT",
+    "card_S2_pp",
+    "card_signed_sumset",
+    "classify",
+    "coverage_check",
+    "density_report",
+    "dominance_class_constant",
+    "dominance_report",
+    "dominance_scan",
+    "enumerate_points",
+    "euler_phi",
+    "factorize",
+    "is_prime",
+    "legendre",
+    "primes_3_mod_4",
+    "primes_up_to",
+    "primorial_series",
+    "ratio_c2",
+    "ratio_c2_pp",
+    "signed_sumset",
+    "solve_sum_product",
+    "sqrt_mod_pp",
+    "sum_diff_cardinalities",
+    "sum_diff_sets",
+    "sum_diff_tables",
+]
+
+
+def test_package_exports_each_layer_surface():
+    layers = (modhyp.analysis, modhyp.arith, modhyp.cardinality, modhyp.hyperbola)
+    assert len(_PACKAGE_NAMES) == 41 and set(_PACKAGE_NAMES) <= set(modhyp.__all__)
+    assert len(set(modhyp.__all__)) == len(modhyp.__all__)
+    assert modhyp.__all__ == [name for layer in layers for name in layer.__all__]
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(modhyp, name) is getattr(layer, name), name
+    namespace = {}
+    exec("from modhyp import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(modhyp.__all__)
 
 
 # ---------------------------------------------------------------- exit codes
@@ -576,6 +640,33 @@ def test_primorial_refuses_rows_past_int_str_limit():
         for extra in (["--k-max", "819"], ["--k-max", "3", "--t", "20000"]):
             code, out, err = run_cli(["primorial", "--a", "4", *extra])
             assert (code, out) == (1, "") and "4300 digits" in err, extra
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# At the default limit of 4300 digits: 11^4129 has 4300 digits, and row 1 of
+# the primorial series at t has the denominator 3^(t-1), where 3^9012 has
+# 4300.  A refusal prints nothing and comes before any big power is formed.
+@pytest.mark.parametrize(
+    "argv, last_t, refusal",
+    [
+        (["solve3", "--b", "0", "--a", "1", "--p", "11"], 4129, "modulus 11^"),
+        (["primorial", "--a", "4", "--k-max", "1"], 9013, "row k = 1 "),
+    ],
+)
+def test_exponent_refused_past_int_str_limit(argv, last_t, refusal):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for fmt in ("table", "csv", "json"):
+            code, out, err = run_cli([*argv, "--t", str(last_t), "--format", fmt])
+            assert code == 0 and out and err == "", fmt
+            for t in (last_t + 1, 10**9):
+                start = time.perf_counter()
+                code, out, err = run_cli([*argv, "--t", str(t), "--format", fmt])
+                assert time.perf_counter() - start < 1, (fmt, t)
+                assert (code, out) == (1, "") and refusal in err, (fmt, t)
+                assert "over 4300 digits, too long to print" in err, (fmt, t)
     finally:
         sys.set_int_max_str_digits(saved)
 

@@ -88,10 +88,14 @@ def test_residue_set_basics():
 def test_residue_set_mask_roundtrip():
     mask = np.zeros(70, dtype=bool)
     mask[[0, 1, 63, 64, 69]] = True
-    rs = ResidueSet(mask.copy())
+    given = mask.copy()
+    rs = ResidueSet(given)
     assert rs.values() == [0, 1, 63, 64, 69]
-    assert np.array_equal(rs.to_mask(), mask)
-    assert not rs.to_mask().flags.writeable
+    # the set keeps the caller's array, uncopied, and makes it read-only
+    assert not given.flags.writeable
+    with pytest.raises(ValueError):
+        given[2] = True
+    assert np.array_equal(given, mask) and 2 not in rs
 
 
 # ---------------------------------------------------------------- enumerate
@@ -276,8 +280,8 @@ def test_tables_match_per_a_oracle():
                 assert not s_tab[a].any() and not d_tab[a].any()
                 continue
             s, d = sum_diff_sets(a, n)
-            assert np.array_equal(s_tab[a], s.to_mask())
-            assert np.array_equal(d_tab[a], d.to_mask())
+            assert np.flatnonzero(s_tab[a]).tolist() == s.values()
+            assert np.flatnonzero(d_tab[a]).tolist() == d.values()
             assert int(s_card[a]) == len(s) and int(d_card[a]) == len(d)
 
 
