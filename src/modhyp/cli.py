@@ -52,6 +52,11 @@ __all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
 _SWEEP_SEED = 0x5EED
+# verify tasks per batch sent to a worker.  On a 2-core host, batches of one
+# cost the parent 0.11 s of CPU in queue traffic over a 0.6 s two-worker
+# sweep, batches of four 0.05 s; larger batches leave a worker idle at the
+# end of the sweep, where the moduli are largest.
+_SWEEP_CHUNK = 4
 
 _HEADERS = {
     "dominance": ("a", "n", "c2", "c2_decimal", "classification"),
@@ -250,14 +255,25 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational (use num/den)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process on first use."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--threads",
-        type=int,
-        help="accepted for compatibility; has no effect (every command runs on one thread)",
+        type=_positive_int,
+        default=1,
+        help="worker processes for verify (default 1); every other command ignores it",
     )
     common.add_argument(
         "--budget",
@@ -425,63 +441,129 @@ def _prime_powers_up_to(bound: int) -> list[tuple[int, int, int]]:
     return sorted(out, key=lambda v: v[2])
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    import random
+def _verify_modulus(task: tuple) -> tuple:
+    """Check one modulus n of the verify sweep against the oracle.
 
-    powers = _prime_powers_up_to(args.max_pp)
-    if powers:  # refuse an over-limit sweep before computing any of it
-        _check_table_modulus(powers[-1][2])
-    mismatches = 0
-    checked = 0
-    kept = {}  # the count lists of the prime powers the composite sweep reuses
-    for p, t, q in powers:
-        sums, diffs = [c.tolist() for c in sum_diff_cardinalities(q)]
-        if args.max_n is not None and q <= _SMALL_SWEEP_ALL_A:
-            kept[q] = sums, diffs
-        for a in range(1, q):
-            if a % p == 0:
-                continue
-            checked += 1
-            cs = card_S2_pp(a, p, t)
-            cd = card_S2_pp(-a, p, t)
-            if cs != sums[a] or cd != diffs[a]:
-                mismatches += 1
-                print(
-                    f"mismatch at a={a}, q={p}^{t}: closed form ({cs}, {cd}) "
-                    f"vs oracle ({sums[a]}, {diffs[a]})",
-                    file=sys.stderr,
-                )
-    composite_checked = 0
-    if args.max_n is not None:
-        rng = random.Random(_SWEEP_SEED)
-        for n in range(2, args.max_n + 1):
-            units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    task is (n, p, t, sample, budget): n = p^t is checked at every unit a
+    when p is nonzero, and at each a of sample when sample is not None.
+    Returns ((pp_cases, composite_cases), (pp_lines, composite_lines),
+    error): the mismatch lines found, and error is None or (phase, exc)
+    for an exception raised in the prime-power (0) or composite (1) phase.
+    Errors are returned, not raised, so that _merge_verify can raise them in
+    the serial sweep's order whichever worker met them.
+    """
+    n, p, t, sample, budget = task
+    cases, lines = [0, 0], ([], [])
+    phase = 0
+    try:
+        tables = None
+        if p:
+            sums, diffs = tables = [c.tolist() for c in sum_diff_cardinalities(n)]
+            for a in range(1, n):
+                if a % p == 0:
+                    continue
+                cases[0] += 1
+                cs = card_S2_pp(a, p, t)
+                cd = card_S2_pp(-a, p, t)
+                if cs != sums[a] or cd != diffs[a]:
+                    lines[0].append(
+                        f"mismatch at a={a}, q={p}^{t}: closed form ({cs}, {cd}) "
+                        f"vs oracle ({sums[a]}, {diffs[a]})"
+                    )
+        phase = 1
+        if sample is not None:
             if n <= _SMALL_SWEEP_ALL_A:
-                sums, diffs = kept.pop(n, None) or [
-                    c.tolist() for c in sum_diff_cardinalities(n)
-                ]
-                sample = units
+                sums, diffs = tables or [c.tolist() for c in sum_diff_cardinalities(n)]
                 oracle = lambda a: (sums[a], diffs[a])
             else:
-                sample = sorted(rng.sample(units, min(_SWEEP_SAMPLES, len(units))))
-                oracle = lambda a: tuple(
-                    len(s) for s in sum_diff_sets(a, n, budget=args.budget)
-                )
+                oracle = lambda a: tuple(len(s) for s in sum_diff_sets(a, n, budget=budget))
             for a in sample:
-                composite_checked += 1
+                cases[1] += 1
                 osum, odiff = oracle(a)
                 csum = card_signed_sumset(HyperbolaSpec(2, 2, a, n)).total
                 cdiff = card_signed_sumset(HyperbolaSpec(2, 1, a, n)).total
                 if csum != osum or cdiff != odiff:
-                    mismatches += 1
-                    print(
+                    lines[1].append(
                         f"mismatch at a={a}, n={n}: composed ({csum}, {cdiff}) "
-                        f"vs oracle ({osum}, {odiff})",
-                        file=sys.stderr,
+                        f"vs oracle ({osum}, {odiff})"
                     )
-    summary = f"verified {checked} prime-power cases"
-    if args.max_n is not None:
-        summary += f" and {composite_checked} composite cases"
+    except Exception as exc:
+        return cases, lines, (phase, exc)
+    return cases, lines, None
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    import random
+
+    powers = _prime_powers_up_to(args.max_pp)
+    max_n = args.max_n or 0
+    # refuse an over-limit sweep before computing any of it
+    if powers:
+        _check_table_modulus(powers[-1][2])
+    if max_n >= 2:
+        _check_table_modulus(max_n)
+    pp = {q: (p, t) for p, t, q in powers}
+    moduli = sorted(pp.keys() | range(2, max_n + 1))
+    rng = random.Random(_SWEEP_SEED)
+    failed = []  # the composite sweep's first error, once _merge_verify meets it
+
+    def task(n: int) -> tuple:
+        sample = None
+        if n <= max_n and not failed:
+            sample = [a for a in range(1, n) if math.gcd(a, n) == 1]
+            if n > _SMALL_SWEEP_ALL_A:
+                sample = sorted(rng.sample(sample, min(_SWEEP_SAMPLES, len(sample))))
+        return (n, *pp.get(n, (0, 0)), sample, args.budget)
+
+    # built lazily in ascending n: the samples never depend on the workers,
+    # and the serial sweep stops composite work at its first error
+    tasks = map(task, moduli)
+    composite = args.max_n is not None
+    workers = min(args.threads, _usable_cpus(), len(moduli))
+    if workers <= 1:
+        return _merge_verify(map(_verify_modulus, tasks), composite, failed)
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            results = pool.map(_verify_modulus, tasks, chunksize=_SWEEP_CHUNK)
+            return _merge_verify(results, composite, failed)
+        finally:
+            pool.shutdown(cancel_futures=True)  # after an error, run no further task
+
+
+def _merge_verify(results: Iterable[tuple], composite: bool, failed: list) -> int:
+    """Print the sweep's results in the order of the serial sweep: every
+    prime-power line, every composite line, then the summary.  An error is
+    raised where the serial sweep would have raised it: a prime-power one at
+    once, a composite one (kept in failed) after every prime-power line."""
+    checked, mismatches = [0, 0], 0
+    comp_lines = []
+    for cases, (pp, comp), error in results:
+        checked[0] += cases[0]
+        mismatches += len(pp)
+        for line in pp:
+            print(line, file=sys.stderr)
+        if error and error[0] == 0:
+            raise error[1]
+        if not failed:
+            checked[1] += cases[1]
+            comp_lines += comp
+            if error:
+                failed.append(error[1])
+    for line in comp_lines:
+        print(line, file=sys.stderr)
+    if failed:
+        raise failed[0]
+    summary = f"verified {checked[0]} prime-power cases"
+    if composite:
+        summary += f" and {checked[1]} composite cases"
+    mismatches += len(comp_lines)
     print(f"{summary}: {mismatches} mismatches")
     return 0 if mismatches == 0 else 2
 

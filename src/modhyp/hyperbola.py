@@ -70,6 +70,12 @@ class EnumerationBudgetError(RuntimeError):
         )
         self.tuple_count = tuple_count
         self.budget = budget
+        self.steps = steps
+
+    def __reduce__(self):
+        # rebuild from the arguments, not from args = (message,): a verify
+        # worker process sends its errors back pickled
+        return type(self), (self.tuple_count, self.budget, self.steps)
 
 
 @dataclass(frozen=True)

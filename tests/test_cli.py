@@ -3,11 +3,13 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from concurrent import futures
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -114,6 +116,31 @@ def test_usage_errors_exit_1():
         assert (code, out) == (1, "") and "below 2^31" in err, command
 
 
+# a valid argument list for every command
+_COMMAND_ARGS = {
+    "enumerate": ["--a", "1", "--n", "7"],
+    "card": ["--a", "1", "--n", "7"],
+    "ratio": ["--a", "1", "--n", "7"],
+    "verify": ["--max-pp", "7"],
+    "scan": ["--a", "1", "--max-n", "7"],
+    "density": ["--a", "1", "--max-n", "7"],
+    "primorial": ["--a", "1", "--k-max", "2"],
+    "coverage": ["--d", "3", "--m", "3", "--a", "1", "--n", "7"],
+    "solve3": ["--b", "0", "--a", "1", "--p", "11"],
+    "plot": ["--a", "1", "--n", "7", "--out", "-"],
+}
+
+
+def test_threads_must_be_positive():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(_COMMAND_ARGS) == sorted(commands)
+    for command, argv in _COMMAND_ARGS.items():
+        assert run_cli([command, *argv, "--threads", "1"])[0] == 0, command
+        for bad in ("0", "-1", "-8", "x"):
+            code, out, err = run_cli([command, *argv, "--threads", bad])
+            assert (code, out) == (1, "") and "--threads" in err, (command, bad)
+
+
 def test_help_exits_0():
     code, _, _ = run_cli(["--help"])
     assert code == 0
@@ -143,10 +170,14 @@ def test_cached_parser_matches_fresh_parsers():
     assert cached == fresh * 2
 
 
-def test_closed_stdout_exits_1_without_traceback():
+def _subprocess_env():
     src = os.path.dirname(os.path.dirname(modhyp.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    env = _subprocess_env()
     argv = ["scan", "--a", "11", "--max-n", "200000", "--format", "csv"]
     with subprocess.Popen(
         [sys.executable, "-m", "modhyp", *argv],
@@ -249,7 +280,7 @@ def test_verify_sweep_clean():
     assert out == f"verified {pp} prime-power cases and {comp} composite cases: 0 mismatches\n"
 
 
-def test_verify_reports_each_mismatch(monkeypatch):
+def _check_each_mismatch_reported(monkeypatch, threads):
     def off_pp(a, p, t):
         return card_S2_pp(a, p, t) + ((a, p, t) == (2, 5, 1))
 
@@ -263,13 +294,163 @@ def test_verify_reports_each_mismatch(monkeypatch):
     s, d = card_S2_pp(2, 5, 1), card_S2_pp(-2, 5, 1)
     cs = card_signed_sumset(HyperbolaSpec(2, 2, 7, 12)).total
     cd = card_signed_sumset(HyperbolaSpec(2, 1, 7, 12)).total
-    code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12"])
+    code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12", "--threads", threads])
     assert code == 2
     assert out.endswith(": 2 mismatches\n")
     assert err.splitlines() == [
         f"mismatch at a=2, q=5^1: closed form ({s + 1}, {d}) vs oracle ({s}, {d})",
         f"mismatch at a=7, n=12: composed ({cs + 1}, {cd}) vs oracle ({cs}, {cd})",
     ]
+
+
+def test_verify_reports_each_mismatch(monkeypatch):
+    _check_each_mismatch_reported(monkeypatch, "1")
+
+
+# monkeypatches reach the workers only when they are forked from this process
+_FORKED_WORKERS = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
+)
+
+
+def _stub_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@_FORKED_WORKERS
+def test_verify_reports_each_mismatch_in_workers(monkeypatch):
+    _stub_cpus(monkeypatch, 2)
+    _check_each_mismatch_reported(monkeypatch, "2")
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_identical_across_worker_counts(monkeypatch):
+    # 330 crosses the n > 300 sampling; three usable CPUs, so --threads 3
+    # starts three workers on any host
+    _stub_cpus(monkeypatch, 3)
+    runs = [
+        run_cli(["verify", "--max-pp", "128", "--max-n", "330", "--threads", threads])
+        for threads in ("1", "2", "3")
+    ]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == 0 and runs[0][1].endswith(": 0 mismatches\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_worker_error_matches_serial(monkeypatch):
+    # phi(301) = 252 leading tuples exceed the budget in the n > 300 oracle
+    _stub_cpus(monkeypatch, 2)
+    argv = ["verify", "--max-pp", "400", "--max-n", "305", "--budget", "100"]
+    error = "error: enumeration needs at least 252 leading tuples, over the budget of 100\n"
+    for threads in ("1", "2"):
+        assert run_cli([*argv, "--threads", threads]) == (2, "", error)
+        assert multiprocessing.active_children() == []
+
+
+@_FORKED_WORKERS
+def test_verify_errors_after_mismatches_match_serial(monkeypatch):
+    # the serial sweep raises a prime-power error at once; a composite one
+    # after every prime-power line and the composite lines before it
+    _stub_cpus(monkeypatch, 2)
+
+    def off_pp(a, p, t):
+        if (p, t) == (7, 1) and raise_at_7:
+            raise ArithmeticError("injected")
+        return card_S2_pp(a, p, t) + ((a, p, t) in ((2, 5, 1), (3, 13, 1)))
+
+    def off_card(spec):
+        if spec.n == 10:
+            raise ArithmeticError("injected")
+        rep = card_signed_sumset(spec)
+        return rep._replace(total=rep.total + 1) if spec.n in (8, 12) else rep
+
+    def lines_at(threads):
+        code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12", "--threads", threads])
+        assert (code, out) == (2, "") and err.endswith("error: injected\n")
+        assert multiprocessing.active_children() == []
+        return [line.split(":")[0] for line in err.splitlines()]
+
+    monkeypatch.setattr("modhyp.cli.card_S2_pp", off_pp)
+    monkeypatch.setattr("modhyp.cli.card_signed_sumset", off_card)
+    raise_at_7 = False
+    assert lines_at("1") == lines_at("2") == [
+        "mismatch at a=2, q=5^1",
+        "mismatch at a=3, q=13^1",
+        *(f"mismatch at a={a}, n=8" for a in (1, 3, 5, 7)),
+        "error",
+    ]
+    raise_at_7 = True
+    assert lines_at("1") == lines_at("2") == ["mismatch at a=2, q=5^1", "error"]
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its size and starts no
+    process: it maps in this one."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_verify_clamps_workers(monkeypatch):
+    # 16 prime powers up to 30, one task each
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    argv = ["verify", "--max-pp", "30", "--threads"]
+    serial = run_cli([*argv, "1"])
+    assert _RecordingPool.sizes == []
+    # one usable CPU takes the serial path: no pool
+    for cpus, sizes in ((8, [8]), (64, [8, 16]), (1, [8, 16])):
+        _stub_cpus(monkeypatch, cpus)
+        assert run_cli([*argv, "1000000"]) == serial
+        assert _RecordingPool.sizes == sizes
+    # without sched_getaffinity the usable CPUs are os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_cli([*argv, "1000000"]) == serial
+    assert _RecordingPool.sizes == [8, 16, 3]
+
+
+def test_verify_refuses_max_n_over_limit_before_sweep(monkeypatch):
+    def no_sweep(n):
+        raise AssertionError(f"swept n = {n} before refusing")
+
+    monkeypatch.setattr("modhyp.cli.sum_diff_cardinalities", no_sweep)
+    code, out, err = run_cli(["verify", "--max-pp", "1", "--max-n", "8193"])
+    assert (code, out, err) == (1, "", "error: n must be in [2, 8192]\n")
+    with pytest.raises(AssertionError, match="swept n = 2 "):
+        run_cli(["verify", "--max-pp", "1", "--max-n", "8192"])
+
+
+def test_cli_imports_no_pool_machinery():
+    # the pool modules load only when verify starts workers, so every other
+    # command pays nothing for them at start-up
+    script = (
+        "import sys, modhyp.cli; modhyp.cli.run(['ratio', '--a', '3', '--n', '7']); "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_verify_refuses_over_limit_before_sweep(monkeypatch):
