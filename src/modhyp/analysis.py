@@ -24,6 +24,7 @@ __all__ = [
     "DensityReport",
     "DIFFERENCE_DOMINANT",
     "DominanceReport",
+    "DominanceWindow",
     "PrimorialReport",
     "PrimorialRow",
     "SUM_DOMINANT",
@@ -41,6 +42,8 @@ __all__ = [
 SUM_DOMINANT = "sum-dominant"
 DIFFERENCE_DOMINANT = "difference-dominant"
 BALANCED = "balanced"
+# the dominance classes, indexed by the sign of num - den plus one
+_CLASSES = (DIFFERENCE_DOMINANT, BALANCED, SUM_DOMINANT)
 
 _BOUND_PRIME_LIMIT = 100_000
 _WINDOW = 1 << 13  # moduli per ratio sieve window
@@ -48,8 +51,10 @@ _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
 
 
 class DominanceReport(NamedTuple):
-    """Classification of one modulus, an immutable named tuple.  Its
-    factor_breakdown, the ratio at each prime power of n, is derived on demand."""
+    """Classification of one modulus by dominance_report, an immutable named
+    tuple.  Its factor_breakdown, the ratio at each prime power of n, is
+    derived on demand.  The range study, dominance_scan, yields
+    DominanceWindows instead."""
 
     a: int
     n: int
@@ -61,6 +66,20 @@ class DominanceReport(NamedTuple):
         return tuple(
             (p, t, ratio_c2_pp(self.a, p, t)) for p, t in factorize(self.n).factors
         )
+
+
+class DominanceWindow(NamedTuple):
+    """The rows dominance_scan keeps from one sieve window, an immutable
+    named tuple of parallel lists: row i is the modulus n[i], ascending,
+    with c2(a; n[i]) = num[i]/den[i] in lowest terms (den[i] > 0) and its
+    classification[i], one of the names classify returns.  A window whose
+    moduli are all skipped or filtered out has empty lists."""
+
+    a: int
+    n: list[int]
+    num: list[int]
+    den: list[int]
+    classification: list[str]
 
 
 class DensityReport(NamedTuple):
@@ -128,11 +147,7 @@ def classify(c2: Fraction) -> str:
     """Dominance class of an exact ratio: above, at, or below 1.  The
     denominator of a Fraction is positive, so the integers decide."""
     num, den = c2.numerator, c2.denominator
-    if num > den:
-        return SUM_DOMINANT
-    if num == den:
-        return BALANCED
-    return DIFFERENCE_DOMINANT
+    return _CLASSES[(num > den) - (num < den) + 1]
 
 
 def _check_sieve_range(x: int) -> None:
@@ -328,18 +343,20 @@ def dominance_scan(
     n_max: int,
     threshold: Fraction | int | None = None,
     skipped: list[int] | None = None,
-) -> Iterator[DominanceReport]:
-    """Reports for every n in [2, n_max] coprime to a, ascending, closed
-    forms only.  Moduli sharing a factor with a are skipped silently; when
-    a list is given as skipped, the count of those in each sieve window is
-    appended to it.
+) -> Iterator[DominanceWindow]:
+    """The ratios of every n in [2, n_max] coprime to a, ascending, closed
+    forms only, as one DominanceWindow per sieve window of _WINDOW moduli.
+    Moduli sharing a factor with a are skipped silently; when a list is
+    given as skipped, the count of those in each sieve window is appended
+    to it.
 
     The ratios come from the windowed multiplicative sieve (_ratio_sieve)
     as integer pairs s/d.  With a threshold, only n with s/d above it are
-    yielded, selected by one exact int64 comparison (_above), and only
-    yielded rows get a Fraction and a report.  One serial pass, each report
-    yielded as soon as it is built, so a consumer can stream them and the
-    output order is deterministic.
+    kept, selected by one exact int64 comparison (_above).  Each window's
+    kept pairs are reduced by np.gcd and classified by the sign of s - d,
+    in numpy: no Fraction is built.  One serial pass, each window yielded
+    as soon as it is sieved, so a consumer can stream them and the output
+    order is deterministic.
     """
     if n_max < 2:
         return
@@ -349,9 +366,14 @@ def dominance_scan(
         if skipped is not None:
             skipped.append(len(den) - int(np.count_nonzero(den)))
         rows = np.flatnonzero(above(num, den))
-        for n, s, d in zip((rows + start).tolist(), num[rows].tolist(), den[rows].tolist()):
-            c2 = Fraction(s, d)
-            yield DominanceReport(a, n, c2, classify(c2))
+        s, d = num[rows], den[rows]
+        g = np.gcd(s, d)
+        s //= g
+        d //= g
+        classes = np.array(_CLASSES, dtype=object)[np.sign(s - d) + 1]
+        yield DominanceWindow(
+            a, (rows + start).tolist(), s.tolist(), d.tolist(), classes.tolist()
+        )
 
 
 def _product(values: list[int]) -> int:
@@ -384,10 +406,10 @@ def density_report(
 
     A modulus is eligible when coprime to a with symbol +1 at each of its
     3-mod-4 primes, and dominant when its ratio exceeds the threshold N/M.
-    The ratios s/d come window by window from the sieve dominance_scan
-    reads (_ratio_sieve), with the moduli of 3-mod-4 primes of symbol -1
-    zeroed, and are counted with the exact int64 comparison dominance_scan
-    selects its rows with (_above).  Also evaluates the truncated and
+    The ratios s/d come window by window from the ratio sieve (_ratio_sieve),
+    as dominance_scan's do, with the moduli of 3-mod-4 primes of symbol -1
+    zeroed, and are counted with the exact int64 comparison that selects
+    dominance_scan's rows (_above).  Also evaluates the truncated and
     tail-corrected lower bounds for the asymptotic lower density at
     threshold 1 (exact rationals floored to 12 decimals, so comparisons
     against them are certified).  At finite x the empirical density falls

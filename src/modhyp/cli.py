@@ -14,7 +14,6 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -22,10 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from .analysis import (
     CoverageReport,
     DensityReport,
-    DominanceReport,
+    DominanceWindow,
     PrimorialReport,
     _check_sieve_range,
     coverage_check,
@@ -35,7 +36,7 @@ from .analysis import (
     primorial_series,
     solve_sum_product,
 )
-from .arith import primes_up_to
+from .arith import factorize, primes_up_to
 from .cardinality import CardinalityReport, card_S2_pp, card_signed_sumset
 from .hyperbola import (
     DEFAULT_BUDGET,
@@ -104,9 +105,12 @@ def _dec(f: Fraction) -> str:
 # in the column order of _HEADERS for its kind.
 
 
-def _dominance_rows(r: DominanceReport) -> list[tuple]:
-    num, den = r.c2.numerator, r.c2.denominator
-    return [(r.a, r.n, f"{num}/{den}", f"{num / den:.6f}", r.classification)]
+def _dominance_rows(w: DominanceWindow) -> list[tuple]:
+    a = str(w.a)  # formatted once: a may have dozens of digits
+    return [
+        (a, n, f"{s}/{d}", f"{s / d:.6f}", c)
+        for n, s, d, c in zip(w.n, w.num, w.den, w.classification)
+    ]
 
 
 def _card_rows(rep: CardinalityReport) -> list[tuple]:
@@ -188,24 +192,27 @@ _BUILDERS = {
 def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     """Stream a homogeneous sequence of reports to out as CSV or a JSON array.
 
-    Reports are consumed one at a time and each row is written as soon as
-    it is built, so a generator of reports is never held in memory.  CSV
-    starts with the fixed header for the report kind.  JSON is an array of
-    objects keyed by that header, every value a string, byte-identical to
-    json.dumps of the list of those objects with indent=2, plus a newline.
-    An empty stream gives a header-only CSV (or "[]").  Row order follows
-    input order, so output is byte-deterministic.  A "triple" report is the
-    tuple (b, a, p, t, (x1, x2, x3)) of a solve_sum_product call.
+    Reports are consumed one at a time and the rows of each are written as
+    soon as they are built, so a generator of reports is never held in
+    memory.  CSV starts with the fixed header for the report kind.  JSON is
+    an array of objects keyed by that header, every value a string,
+    byte-identical to json.dumps of the list of those objects with
+    indent=2, plus a newline.  An empty stream gives a header-only CSV (or
+    "[]").  Row order follows input order, so output is byte-deterministic.
+    A "dominance" report is a DominanceWindow, of any number of rows, none
+    included.  A "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of
+    a solve_sum_product call.
     """
     header = _HEADERS[kind]
     build = _BUILDERS[kind]
-    rows = (row for rep in reports for row in build(rep))
     if fmt == "csv":
         # csv.writer calls str on each value: no builder yields None or a float
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for rep in reports:
+            writer.writerows(build(rep))
     elif fmt == "json":
+        rows = (row for rep in reports for row in build(rep))
         # the layout json.dumps gives the whole list at indent=2, written
         # one object at a time; a str is escaped by json.dumps's own encoder
         keys = [f"    {json.dumps(k)}: " for k in header]
@@ -421,12 +428,16 @@ def _cmd_card(args: argparse.Namespace) -> int:
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
     rep = dominance_report(args.a, args.n)
+    a, n, c2, classification = rep
+    # the report as a one-row window, formatted as a scan row is
+    window = DominanceWindow(a, [n], [c2.numerator], [c2.denominator], [classification])
     if args.format == "table":
-        print(f"c2({rep.a}; {rep.n}) = {_rat(rep.c2)} ({_dec(rep.c2)})  {rep.classification}")
+        _, _, rat, dec, _ = _dominance_rows(window)[0]
+        print(f"c2({a}; {n}) = {rat} ({dec})  {classification}")
         for p, t, r in rep.factor_breakdown:
             print(f"  {p}^{t}: {_rat(r)}")
     else:
-        write_reports([rep], args.format, "dominance", sys.stdout)
+        write_reports([window], args.format, "dominance", sys.stdout)
     return 0
 
 
@@ -515,9 +526,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def task(n: int) -> tuple:
         sample = None
         if n <= max_n and not failed:
-            sample = [a for a in range(1, n) if math.gcd(a, n) == 1]
+            coprime = np.ones(n, dtype=bool)
+            for p, _ in factorize(n).factors:
+                coprime[::p] = False
+            units = np.flatnonzero(coprime)
             if n > _SMALL_SWEEP_ALL_A:
-                sample = sorted(rng.sample(sample, min(_SWEEP_SAMPLES, len(sample))))
+                # sample's choices depend only on the population's length, so
+                # drawing indices picks what drawing from the list would
+                picks = rng.sample(range(len(units)), min(_SWEEP_SAMPLES, len(units)))
+                units = np.sort(units[picks])
+            sample = units.tolist()
         return (n, *pp.get(n, (0, 0)), sample, args.budget)
 
     # built lazily in ascending n: the samples never depend on the workers,
@@ -571,12 +589,15 @@ def _merge_verify(results: Iterable[tuple], composite: bool, failed: list) -> in
 def _cmd_scan(args: argparse.Namespace) -> int:
     _check_sieve_range(args.max_n)  # the sieve runs lazily, after the CSV header
     skipped: list[int] = []
-    reports = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
+    windows = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
     if args.format == "table":
-        for rep in reports:
-            print(f"n={rep.n} c2={_rat(rep.c2)} ({_dec(rep.c2)}) {rep.classification}")
+        for window in windows:
+            sys.stdout.writelines(
+                f"n={n} c2={rat} ({dec}) {classification}\n"
+                for _, n, rat, dec, classification in _dominance_rows(window)
+            )
     else:
-        write_reports(reports, args.format, "dominance", sys.stdout)
+        write_reports(windows, args.format, "dominance", sys.stdout)
     print(f"skipped {sum(skipped)} moduli sharing a factor with a={args.a}", file=sys.stderr)
     return 0
 

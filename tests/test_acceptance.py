@@ -214,7 +214,7 @@ def test_criterion_06a_density_empirical_a4():
     # every n with a prime = 3 (mod 4), none squared, has c2 > 1; no
     # balanced n is dominant; the rest (some p^2) may go either way
     eligible = (x + 1) // 2
-    scan_dominant = sum(1 for r in dominance_scan(4, x) if r.c2 > 1)
+    scan_dominant = sum(s > d for w in dominance_scan(4, x) for s, d in zip(w.num, w.den))
     asymptotic_ok = (
         rep4.bound_truncated > Fraction(85, 100)
         and rep4.bound_rigorous > Fraction(85, 100)
@@ -311,21 +311,23 @@ def test_criterion_09_asymptotic_surrogates():
         for row in rows
         if row.k >= 2
     )
-    high = low = None
-    for rep in dominance_scan(4, 10**6):
-        if high is None and rep.c2 > 3:
-            high = rep
-        if low is None and rep.c2 < Fraction(1, 3):
-            low = rep
+    high = low = None  # the first (n, c2) of each kind
+    for window in dominance_scan(4, 10**6):
+        for n, s, d in zip(window.n, window.num, window.den):
+            c2 = Fraction(s, d)
+            if high is None and c2 > 3:
+                high = n, c2
+            if low is None and c2 < Fraction(1, 3):
+                low = n, c2
         if high is not None and low is not None:
             break
     _report(
         9,
         sandwich_ok and high is not None and low is not None,
         f"primorial sandwich 0.5 <= c2/loglog <= 5 for k in [2,8]; over "
-        f"n <= 1e6: c2 > 3 at n={high.n if high else '?'} "
-        f"({float(high.c2):.3f}) and c2 < 1/3 at n={low.n if low else '?'} "
-        f"({float(low.c2):.3f})",
+        f"n <= 1e6: c2 > 3 at n={high[0] if high else '?'} "
+        f"({float(high[1]):.3f}) and c2 < 1/3 at n={low[0] if low else '?'} "
+        f"({float(low[1]):.3f})",
     )
 
 

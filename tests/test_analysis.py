@@ -13,6 +13,7 @@ from modhyp.analysis import (
     SUM_DOMINANT,
     CoverageReport,
     DensityReport,
+    DominanceWindow,
     PrimorialReport,
     PrimorialRow,
     classify,
@@ -55,9 +56,32 @@ def test_dominance_report_examples():
     assert dominance_report(2, 625).classification == BALANCED
 
 
+def _scan_rows(a, x, threshold=None, skipped=None):
+    """dominance_scan's rows as (n, c2, classification), every window and
+    row checked against the window contract: parallel lists, n ascending
+    across windows, den positive, num/den reduced, and the classification
+    classify gives num/den."""
+    rows, last = [], 1
+    for window in dominance_scan(a, x, threshold, skipped):
+        assert type(window) is DominanceWindow and window.a == a
+        assert len({len(column) for column in window[1:]}) == 1
+        for n, num, den, classification in zip(*window[1:]):
+            assert n > last and den > 0 and math.gcd(num, den) == 1, (a, n)
+            c2 = Fraction(num, den)
+            assert classification == classify(c2), (a, n)
+            rows.append((n, c2, classification))
+            last = n
+    return rows
+
+
 def test_dominance_report_contract():
     reports = [dominance_report(11, 441), dominance_report(-7, 9000)]
-    reports += list(dominance_scan(1019, 300)) + list(dominance_scan(-7, 300, Fraction(3, 2)))
+    # a scan row holds what the report of its modulus does
+    for a, threshold in ((1019, None), (-7, Fraction(3, 2))):
+        rows = _scan_rows(a, 300, threshold)
+        assert rows
+        for n, c2, classification in rows:
+            assert dominance_report(a, n) == (a, n, c2, classification)
     for rep in reports:
         assert type(rep.c2) is Fraction
         assert rep.c2.denominator > 0 and math.gcd(rep.c2.numerator, rep.c2.denominator) == 1
@@ -127,7 +151,7 @@ def test_scan_ascending_skips_and_filters(a):
     ratios = {n: ratio_c2(a, n).value for n in range(2, 2001) if math.gcd(a, n) == 1}
     for x in (1, 2, 3, 60, 2000):
         for threshold in (None, *_THRESHOLDS):
-            got = [(r.n, r.c2, r.classification) for r in dominance_scan(a, x, threshold)]
+            got = _scan_rows(a, x, threshold)
             assert got == [
                 (n, c2, classify(c2))
                 for n, c2 in ratios.items()
@@ -150,7 +174,7 @@ def test_range_studies_across_windows(monkeypatch, window):
     for a in (-7,) if window > 97 else (12, -7, 1019, 3 * 10**40 + 7):
         ratios = {n: ratio_c2(a, n).value for n in range(1, x + 1) if math.gcd(a, n) == 1}
         skipped = []
-        scanned = {r.n: r.c2 for r in dominance_scan(a, x, skipped=skipped)}
+        scanned = {n: c2 for n, c2, _ in _scan_rows(a, x, skipped=skipped)}
         assert scanned == {n: c2 for n, c2 in ratios.items() if n > 1}
         assert sum(skipped) == x - len(ratios)
         eligible = [c2 for n, c2 in ratios.items() if _eligible(a, n)]
@@ -207,19 +231,20 @@ def test_scan_factor_breakdown_matches_report():
     for a in (11, -3, 4 * 1009**2):
         wanted = {n for n in (2, 8, 441, 1025, 1944, 1997) if math.gcd(a, n) == 1}
         seen = set()
-        for rep in dominance_scan(a, 2000):
-            if rep.n in wanted:
-                seen.add(rep.n)
-                assert rep.factor_breakdown == dominance_report(a, rep.n).factor_breakdown
-                assert math.prod(r for _, _, r in rep.factor_breakdown) == rep.c2
+        for n, c2, classification in _scan_rows(a, 2000):
+            if n in wanted:
+                seen.add(n)
+                rep = dominance_report(a, n)
+                assert rep == (a, n, c2, classification)
+                assert math.prod(r for _, _, r in rep.factor_breakdown) == c2
         assert seen == wanted
 
 
 def test_scan_agrees_with_oracle():
-    for rep in dominance_scan(11, 3000):
-        s, d = sum_diff_sets(11, rep.n)
-        assert rep.c2 == Fraction(len(s), len(d)), rep.n
-        assert rep.classification == classify(Fraction(len(s), len(d)))
+    for n, c2, classification in _scan_rows(11, 3000):
+        s, d = sum_diff_sets(11, n)
+        assert c2 == Fraction(len(s), len(d)), n
+        assert classification == classify(Fraction(len(s), len(d)))
 
 
 def test_two_prime_remark_cases():

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,9 @@ from fractions import Fraction
 import pytest
 
 import modhyp
+import modhyp.analysis as analysis
 from modhyp.analysis import (
+    DominanceWindow,
     coverage_check,
     density_report,
     dominance_report,
@@ -26,7 +29,7 @@ from modhyp.analysis import (
 from modhyp.arith import euler_phi
 from modhyp.cardinality import card_S2_pp, card_signed_sumset
 from modhyp.cli import build_parser, render_svg, run, write_reports
-from modhyp.hyperbola import HyperbolaSpec, enumerate_points
+from modhyp.hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points
 
 
 def run_cli(argv):
@@ -324,6 +327,28 @@ def test_verify_reports_each_mismatch_in_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_verify_samples_units_as_drawn_from_the_list(monkeypatch):
+    # above n = 300 the sweep checks 20 units drawn from one seeded stream
+    # in ascending n; the draw must be that from the list of every unit
+    tasks = []
+
+    def record(task):
+        tasks.append(task)
+        return (0, 0), ([], []), None
+
+    monkeypatch.setattr("modhyp.cli._verify_modulus", record)
+    code, _, err = run_cli(["verify", "--max-pp", "1", "--max-n", "1200", "--threads", "1"])
+    assert (code, err) == (0, "")
+    assert [task[0] for task in tasks] == list(range(2, 1201))
+    rng = random.Random(0x5EED)
+    for n, p, t, sample, budget in tasks:
+        units = _units(n)
+        if n > 300:
+            units = sorted(rng.sample(units, min(20, len(units))))
+        assert (p, t, sample, budget) == (0, 0, units, DEFAULT_BUDGET), n
+        assert all(type(a) is int for a in sample)
+
+
 def test_verify_identical_across_worker_counts(monkeypatch):
     # 330 crosses the n > 300 sampling; three usable CPUs, so --threads 3
     # starts three workers on any host
@@ -550,6 +575,30 @@ def test_scan_output_bytes_pinned(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256[argv]
 
 
+# sha256 of scan stdout pinned from the release that wrote one row per
+# report.  Under windows of 97 moduli the sieve windows 584..680 and
+# 2621..2717 keep no row: empty windows between full ones.
+_EMPTY_WINDOWS_SHA256 = {
+    "csv": "fe52171cb0221175c1cb9ed200765a05010e5bde4def782495fb2dd17d115169",
+    "json": "1fa32121f388c448ca9369a8b0ee1ddf87a2ae909e27b099933f2d73271a6156",
+    "table": "0a98ad552253a2e8ee3d5dff078caeafbfd0a393cc558ad919fa4d4bc1ca340c",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_EMPTY_WINDOWS_SHA256))
+@pytest.mark.parametrize("window", (97, analysis._WINDOW))
+def test_scan_bytes_across_empty_windows(monkeypatch, window, fmt):
+    monkeypatch.setattr(analysis, "_WINDOW", window)
+    argv = ["scan", "--a", "11", "--max-n", "3000", "--L", "5/2", "--format", fmt]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "skipped 272 moduli sharing a factor with a=11\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == _EMPTY_WINDOWS_SHA256[fmt]
+    if window == 97:
+        windows = list(analysis.dominance_scan(11, 3000, Fraction(5, 2)))
+        assert [i for i, w in enumerate(windows) if not w.n] == [6, 27]
+        assert windows[6].a == 11 and windows[5].n and windows[7].n
+
+
 def test_scan_json_parses():
     code, out, _ = run_cli(["scan", "--a", "11", "--max-n", "30", "--format", "json"])
     rows = json.loads(out)
@@ -571,14 +620,15 @@ def _dec(f):
 # Reference rows for every report kind: a list of dicts of strings per
 # report, the keys in column order, as the writer's output must read.
 _REFERENCE_ROWS = {
-    "dominance": lambda r: [
+    "dominance": lambda w: [
         {
-            "a": str(r.a),
-            "n": str(r.n),
-            "c2": _rat(r.c2),
-            "c2_decimal": _dec(r.c2),
-            "classification": r.classification,
+            "a": str(w.a),
+            "n": str(n),
+            "c2": _rat(Fraction(num, den)),
+            "c2_decimal": _dec(Fraction(num, den)),
+            "classification": classification,
         }
+        for n, num, den, classification in zip(w.n, w.num, w.den, w.classification)
     ],
     "card": lambda r: [
         {
@@ -654,7 +704,18 @@ _REFERENCE_ROWS = {
 
 def _sample_reports(kind):
     if kind == "dominance":
-        return [dominance_report(11, n) for n in (441, 25, 2)]
+        # scan windows: three rows, none (every modulus filtered out), two
+        def window(a, moduli):
+            reps = [dominance_report(a, n) for n in moduli]
+            return DominanceWindow(
+                a,
+                list(moduli),
+                [r.c2.numerator for r in reps],
+                [r.c2.denominator for r in reps],
+                [r.classification for r in reps],
+            )
+
+        return [window(11, (2, 25, 441)), window(11, ()), window(3 * 10**40 + 7, (8, 9000))]
     if kind == "card":
         specs = [HyperbolaSpec(2, 2, 1, 360), HyperbolaSpec(2, 1, 5, 8), HyperbolaSpec(3, 3, 1, 35)]
         return [card_signed_sumset(s) for s in specs]
