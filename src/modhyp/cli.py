@@ -21,8 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, TextIO
 
-import numpy as np
-
 from .analysis import (
     CoverageReport,
     DensityReport,
@@ -35,29 +33,12 @@ from .analysis import (
     dominance_scan,
     primorial_series,
     solve_sum_product,
+    verify_sweep,
 )
-from .arith import factorize, primes_up_to
-from .cardinality import CardinalityReport, card_S2_pp, card_signed_sumset
-from .hyperbola import (
-    DEFAULT_BUDGET,
-    HyperbolaSpec,
-    _check_table_modulus,
-    enumerate_points,
-    signed_sumset,
-    sum_diff_cardinalities,
-    sum_diff_sets,
-)
+from .cardinality import CardinalityReport, card_signed_sumset
+from .hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points, signed_sumset
 
 __all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
-
-_SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
-_SWEEP_SAMPLES = 20
-_SWEEP_SEED = 0x5EED
-# verify tasks per batch sent to a worker.  On a 2-core host, batches of one
-# cost the parent 0.11 s of CPU in queue traffic over a 0.6 s two-worker
-# sweep, batches of four 0.05 s; larger batches leave a worker idle at the
-# end of the sweep, where the moduli are largest.
-_SWEEP_CHUNK = 4
 
 _HEADERS = {
     "dominance": ("a", "n", "c2", "c2_decimal", "classification"),
@@ -275,20 +256,20 @@ def _positive_int(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process on first use."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    threads, budget, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    threads.add_argument(
         "--threads",
         type=_positive_int,
         default=1,
         help="worker processes for verify (default 1); every other command ignores it",
     )
-    common.add_argument(
+    budget.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_BUDGET,
         help=f"enumeration budget in leading tuples (default {DEFAULT_BUDGET})",
     )
-    common.add_argument(
+    fmt.add_argument(
         "--format",
         choices=("table", "csv", "json"),
         default="table",
@@ -301,68 +282,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="emit points or the signed sumset")
+    def command(name, handler, summary, *flags):
+        # every command parses --threads, and only those of the other
+        # shared flags that its handler reads
+        p = sub.add_parser(name, parents=[threads, *flags], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("enumerate", _cmd_enumerate, "emit points or the signed sumset", budget, fmt)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=None, help="plus signs (default d)")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", action="store_true", help="emit points instead of the sumset")
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("card", parents=[common], help="cardinality report with per-factor methods")
+    p = command("card", _cmd_card, "cardinality report with per-factor methods", budget, fmt)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=None)
-    p.set_defaults(handler=_cmd_card)
 
-    p = sub.add_parser("ratio", parents=[common], help="dominance ratio with classification")
+    p = command("ratio", _cmd_ratio, "dominance ratio with classification", fmt)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_ratio)
 
-    p = sub.add_parser("verify", parents=[common], help="oracle-vs-closed-form sweep")
+    p = command("verify", _cmd_verify, "oracle-vs-closed-form sweep", budget)
     p.add_argument("--max-pp", type=int, required=True, help="prime-power sweep bound")
     p.add_argument("--max-n", type=int, default=None, help="also sweep composite n up to this bound")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("scan", parents=[common], help="dominance reports, ascending n")
+    p = command("scan", _cmd_scan, "dominance reports, ascending n", fmt)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--L", type=_rational_arg, default=None, help="emit only ratios above this")
-    p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("density", parents=[common], help="dominance density and lower bounds")
+    p = command("density", _cmd_density, "dominance density and lower bounds", fmt)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--L", type=_rational_arg, default=Fraction(1))
-    p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("primorial", parents=[common], help="ratio series along 3-mod-4 primorials")
+    p = command("primorial", _cmd_primorial, "ratio series along 3-mod-4 primorials", fmt)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
-    p.set_defaults(handler=_cmd_primorial)
 
-    p = sub.add_parser("coverage", parents=[common], help="attained residues for d >= 3")
+    p = command("coverage", _cmd_coverage, "attained residues for d >= 3", budget, fmt)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_coverage)
 
-    p = sub.add_parser("solve3", parents=[common], help="one verified sum-product triple")
+    p = command("solve3", _cmd_solve3, "one verified sum-product triple", fmt)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
-    p.set_defaults(handler=_cmd_solve3)
 
-    p = sub.add_parser("plot", parents=[common], help="SVG scatter of the planar hyperbola")
+    p = command("plot", _cmd_plot, "SVG scatter of the planar hyperbola", budget)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="output file, or - for stdout")
-    p.set_defaults(handler=_cmd_plot)
 
     # argparse on Python 3.11 reads "-1/2" as an option and leaves --L without
     # a value: take any word of "-", an optional "." and a digit for a number
@@ -441,147 +419,15 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prime_powers_up_to(bound: int) -> list[tuple[int, int, int]]:
-    out = []
-    for p in primes_up_to(bound):
-        q, t = p, 1
-        while q <= bound:
-            out.append((p, t, q))
-            q *= p
-            t += 1
-    return sorted(out, key=lambda v: v[2])
-
-
-def _verify_modulus(task: tuple) -> tuple:
-    """Check one modulus n of the verify sweep against the oracle.
-
-    task is (n, p, t, sample, budget): n = p^t is checked at every unit a
-    when p is nonzero, and at each a of sample when sample is not None.
-    Returns ((pp_cases, composite_cases), (pp_lines, composite_lines),
-    error): the mismatch lines found, and error is None or (phase, exc)
-    for an exception raised in the prime-power (0) or composite (1) phase.
-    Errors are returned, not raised, so that _merge_verify can raise them in
-    the serial sweep's order whichever worker met them.
-    """
-    n, p, t, sample, budget = task
-    cases, lines = [0, 0], ([], [])
-    phase = 0
-    try:
-        tables = None
-        if p:
-            sums, diffs = tables = [c.tolist() for c in sum_diff_cardinalities(n)]
-            for a in range(1, n):
-                if a % p == 0:
-                    continue
-                cases[0] += 1
-                cs = card_S2_pp(a, p, t)
-                cd = card_S2_pp(-a, p, t)
-                if cs != sums[a] or cd != diffs[a]:
-                    lines[0].append(
-                        f"mismatch at a={a}, q={p}^{t}: closed form ({cs}, {cd}) "
-                        f"vs oracle ({sums[a]}, {diffs[a]})"
-                    )
-        phase = 1
-        if sample is not None:
-            if n <= _SMALL_SWEEP_ALL_A:
-                sums, diffs = tables or [c.tolist() for c in sum_diff_cardinalities(n)]
-                oracle = lambda a: (sums[a], diffs[a])
-            else:
-                oracle = lambda a: tuple(len(s) for s in sum_diff_sets(a, n, budget=budget))
-            for a in sample:
-                cases[1] += 1
-                osum, odiff = oracle(a)
-                csum = card_signed_sumset(HyperbolaSpec(2, 2, a, n)).total
-                cdiff = card_signed_sumset(HyperbolaSpec(2, 1, a, n)).total
-                if csum != osum or cdiff != odiff:
-                    lines[1].append(
-                        f"mismatch at a={a}, n={n}: composed ({csum}, {cdiff}) "
-                        f"vs oracle ({osum}, {odiff})"
-                    )
-    except Exception as exc:
-        return cases, lines, (phase, exc)
-    return cases, lines, None
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import random
-
-    powers = _prime_powers_up_to(args.max_pp)
-    max_n = args.max_n or 0
-    # refuse an over-limit sweep before computing any of it
-    if powers:
-        _check_table_modulus(powers[-1][2])
-    if max_n >= 2:
-        _check_table_modulus(max_n)
-    pp = {q: (p, t) for p, t, q in powers}
-    moduli = sorted(pp.keys() | range(2, max_n + 1))
-    rng = random.Random(_SWEEP_SEED)
-    failed = []  # the composite sweep's first error, once _merge_verify meets it
-
-    def task(n: int) -> tuple:
-        sample = None
-        if n <= max_n and not failed:
-            coprime = np.ones(n, dtype=bool)
-            for p, _ in factorize(n).factors:
-                coprime[::p] = False
-            units = np.flatnonzero(coprime)
-            if n > _SMALL_SWEEP_ALL_A:
-                # sample's choices depend only on the population's length, so
-                # drawing indices picks what drawing from the list would
-                picks = rng.sample(range(len(units)), min(_SWEEP_SAMPLES, len(units)))
-                units = np.sort(units[picks])
-            sample = units.tolist()
-        return (n, *pp.get(n, (0, 0)), sample, args.budget)
-
-    # built lazily in ascending n: the samples never depend on the workers,
-    # and the serial sweep stops composite work at its first error
-    tasks = map(task, moduli)
-    composite = args.max_n is not None
-    workers = min(args.threads, _usable_cpus(), len(moduli))
-    if workers <= 1:
-        return _merge_verify(map(_verify_modulus, tasks), composite, failed)
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            results = pool.map(_verify_modulus, tasks, chunksize=_SWEEP_CHUNK)
-            return _merge_verify(results, composite, failed)
-        finally:
-            pool.shutdown(cancel_futures=True)  # after an error, run no further task
-
-
-def _merge_verify(results: Iterable[tuple], composite: bool, failed: list) -> int:
-    """Print the sweep's results in the order of the serial sweep: every
-    prime-power line, every composite line, then the summary.  An error is
-    raised where the serial sweep would have raised it: a prime-power one at
-    once, a composite one (kept in failed) after every prime-power line."""
     checked, mismatches = [0, 0], 0
-    comp_lines = []
-    for cases, (pp, comp), error in results:
-        checked[0] += cases[0]
-        mismatches += len(pp)
-        for line in pp:
-            print(line, file=sys.stderr)
-        if error and error[0] == 0:
-            raise error[1]
-        if not failed:
-            checked[1] += cases[1]
-            comp_lines += comp
-            if error:
-                failed.append(error[1])
-    for line in comp_lines:
-        print(line, file=sys.stderr)
-    if failed:
-        raise failed[0]
+    for phase, cases, lines in verify_sweep(args.max_pp, args.max_n, args.threads, args.budget):
+        checked[phase] += cases
+        mismatches += len(lines)
+        sys.stderr.writelines(f"{line}\n" for line in lines)
     summary = f"verified {checked[0]} prime-power cases"
-    if composite:
+    if args.max_n is not None:
         summary += f" and {checked[1]} composite cases"
-    mismatches += len(comp_lines)
     print(f"{summary}: {mismatches} mismatches")
     return 0 if mismatches == 0 else 2
 

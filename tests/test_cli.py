@@ -144,6 +144,35 @@ def test_threads_must_be_positive():
             assert (code, out) == (1, "") and "--threads" in err, (command, bad)
 
 
+_BUDGET_COMMANDS = ["enumerate", "card", "verify", "coverage", "plot"]
+
+
+def test_budget_and_format_parse_only_where_read():
+    # each shared flag is declared only on the commands whose handler reads it
+    commands = build_parser()._subparsers._group_actions[0].choices
+    shared = {
+        command: {opt for action in commands[command]._actions for opt in action.option_strings}
+        & {"--threads", "--budget", "--format"}
+        for command in _COMMAND_ARGS
+    }
+    assert [c for c, flags in shared.items() if "--budget" in flags] == _BUDGET_COMMANDS
+    assert [c for c, flags in shared.items() if "--format" not in flags] == ["verify", "plot"]
+    assert sum(len(flags) for flags in shared.values()) == 23
+    for argv in (
+        ["ratio", "--a", "1", "--n", "7", "--budget", "5"],
+        ["verify", "--max-pp", "7", "--format", "csv"],
+        ["plot", "--a", "1", "--n", "7", "--out", "-", "--format", "json"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "") and "unrecognized arguments" in err, argv
+    for command in _BUDGET_COMMANDS:
+        argv = [command, *_COMMAND_ARGS[command]]
+        assert run_cli([*argv, "--budget", "1000000"])[0] == 0, command
+        for bad in ("0", "-1", "x"):
+            code, out, err = run_cli([*argv, "--budget", bad])
+            assert (code, out) == (1, "") and "--budget" in err, (command, bad)
+
+
 def test_help_exits_0():
     code, _, _ = run_cli(["--help"])
     assert code == 0
@@ -283,6 +312,26 @@ def test_verify_sweep_clean():
     assert out == f"verified {pp} prime-power cases and {comp} composite cases: 0 mismatches\n"
 
 
+def test_verify_sweep_yields_serial_records():
+    # the library sweep behind verify: one record per modulus and phase,
+    # every prime power before every composite, case totals from math.gcd
+    records = list(analysis.verify_sweep(128, 40))
+    powers = [q for q in range(2, 129) if _is_prime_power(q)]
+    assert [phase for phase, _, _ in records] == [0] * len(powers) + [1] * 39
+    assert all(lines == [] for _, _, lines in records)
+    totals = [sum(cases for phase, cases, _ in records if phase == k) for k in (0, 1)]
+    assert totals[0] == sum(len(_units(q)) for q in powers)
+    assert totals[1] == sum(len(_units(n)) for n in range(2, 41))
+
+
+def test_verify_sweep_close_stops_workers(monkeypatch):
+    _stub_cpus(monkeypatch, 2)
+    sweep = analysis.verify_sweep(768, 400, workers=2)
+    assert next(sweep) == (0, 1, [])  # q = 2 has the one unit a = 1
+    sweep.close()
+    assert multiprocessing.active_children() == []
+
+
 def _check_each_mismatch_reported(monkeypatch, threads):
     def off_pp(a, p, t):
         return card_S2_pp(a, p, t) + ((a, p, t) == (2, 5, 1))
@@ -292,8 +341,8 @@ def _check_each_mismatch_reported(monkeypatch, threads):
         hit = spec == HyperbolaSpec(2, 2, 7, 12)
         return rep._replace(total=rep.total + 1) if hit else rep
 
-    monkeypatch.setattr("modhyp.cli.card_S2_pp", off_pp)
-    monkeypatch.setattr("modhyp.cli.card_signed_sumset", off_card)
+    monkeypatch.setattr("modhyp.analysis.card_S2_pp", off_pp)
+    monkeypatch.setattr("modhyp.analysis.card_signed_sumset", off_card)
     s, d = card_S2_pp(2, 5, 1), card_S2_pp(-2, 5, 1)
     cs = card_signed_sumset(HyperbolaSpec(2, 2, 7, 12)).total
     cd = card_signed_sumset(HyperbolaSpec(2, 1, 7, 12)).total
@@ -336,7 +385,7 @@ def test_verify_samples_units_as_drawn_from_the_list(monkeypatch):
         tasks.append(task)
         return (0, 0), ([], []), None
 
-    monkeypatch.setattr("modhyp.cli._verify_modulus", record)
+    monkeypatch.setattr("modhyp.analysis._verify_modulus", record)
     code, _, err = run_cli(["verify", "--max-pp", "1", "--max-n", "1200", "--threads", "1"])
     assert (code, err) == (0, "")
     assert [task[0] for task in tasks] == list(range(2, 1201))
@@ -395,8 +444,8 @@ def test_verify_errors_after_mismatches_match_serial(monkeypatch):
         assert multiprocessing.active_children() == []
         return [line.split(":")[0] for line in err.splitlines()]
 
-    monkeypatch.setattr("modhyp.cli.card_S2_pp", off_pp)
-    monkeypatch.setattr("modhyp.cli.card_signed_sumset", off_card)
+    monkeypatch.setattr("modhyp.analysis.card_S2_pp", off_pp)
+    monkeypatch.setattr("modhyp.analysis.card_signed_sumset", off_card)
     raise_at_7 = False
     assert lines_at("1") == lines_at("2") == [
         "mismatch at a=2, q=5^1",
@@ -453,7 +502,7 @@ def test_verify_refuses_max_n_over_limit_before_sweep(monkeypatch):
     def no_sweep(n):
         raise AssertionError(f"swept n = {n} before refusing")
 
-    monkeypatch.setattr("modhyp.cli.sum_diff_cardinalities", no_sweep)
+    monkeypatch.setattr("modhyp.analysis.sum_diff_cardinalities", no_sweep)
     code, out, err = run_cli(["verify", "--max-pp", "1", "--max-n", "8193"])
     assert (code, out, err) == (1, "", "error: n must be in [2, 8192]\n")
     with pytest.raises(AssertionError, match="swept n = 2 "):
@@ -483,7 +532,7 @@ def test_verify_refuses_over_limit_before_sweep(monkeypatch):
     def no_sweep(n):
         raise AssertionError(f"swept n = {n} before refusing")
 
-    monkeypatch.setattr("modhyp.cli.sum_diff_cardinalities", no_sweep)
+    monkeypatch.setattr("modhyp.analysis.sum_diff_cardinalities", no_sweep)
     code, out, err = run_cli(["verify", "--max-pp", "9000"])
     assert (code, out, err) == (1, "", "error: n must be in [2, 8192]\n")
     # 8192 = 2^13 is the largest prime power <= 8208: accepted, so it sweeps
