@@ -9,7 +9,6 @@ enumeration oracle.
 from __future__ import annotations
 
 import math
-import os
 import random
 import sys
 from fractions import Fraction
@@ -17,16 +16,16 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _legendre_unchecked, factorize, is_prime, primes_up_to, sqrt_mod_pp
-from .cardinality import card_S2_pp, card_signed_sumset, ratio_c2, ratio_c2_pp
+from .arith import _legendre_unchecked, _pow_mod, factorize, is_prime, primes_up_to, sqrt_mod_pp
+from .cardinality import _card_S2_pp_array, ratio_c2, ratio_c2_pp
 from .hyperbola import (
+    _TABLE_LIMIT,
     DEFAULT_BUDGET,
     HyperbolaSpec,
     ResidueSet,
     _check_table_modulus,
     signed_sumset,
     sum_diff_cardinalities,
-    sum_diff_sets,
 )
 
 __all__ = [
@@ -63,11 +62,6 @@ _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
 _SWEEP_SEED = 0x5EED
-# verify tasks per batch sent to a worker.  On a 2-core host, batches of one
-# cost the parent 0.11 s of CPU in queue traffic over a 0.6 s two-worker
-# sweep, batches of four 0.05 s; larger batches leave a worker idle at the
-# end of the sweep, where the moduli are largest.
-_SWEEP_CHUNK = 4
 
 
 class DominanceReport(NamedTuple):
@@ -173,16 +167,6 @@ def classify(c2: Fraction) -> str:
 def _check_sieve_range(x: int) -> None:
     if x >= _SIEVE_LIMIT:
         raise ValueError(f"range bound {x} must be below 2^31 (the ratio sieve is int32)")
-
-
-def _pow_mod(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """b^e mod m elementwise, for int64 arrays with 0 <= b < m < 2^31, so
-    every product stays below 2^62."""
-    out = np.ones_like(m)
-    for i in range(int(e.max(initial=0)).bit_length()):
-        out = np.where((e >> i) & 1, out * b % m, out)
-        b = b * b % m
-    return out
 
 
 def _residues(a: int, m: np.ndarray) -> np.ndarray:
@@ -590,80 +574,48 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
     return triple
 
 
-def _verify_modulus(task: tuple) -> tuple:
-    """Check one modulus n of the verify sweep against the oracle.
-
-    task is (n, p, t, sample, budget): n = p^t is checked at every unit a
-    when p is nonzero, and at each a of sample when sample is not None.
-    Returns ((pp_cases, composite_cases), (pp_lines, composite_lines),
-    error): the mismatch lines found, and error is None or (phase, exc)
-    for an exception raised in the prime-power (0) or composite (1) phase.
-    Errors are returned, not raised, so that verify_sweep can raise them in
-    the serial sweep's order whichever worker met them.
-    """
-    n, p, t, sample, budget = task
-    cases, lines = [0, 0], ([], [])
-    phase = 0
-    try:
-        tables = None
-        if p:
-            sums, diffs = tables = [c.tolist() for c in sum_diff_cardinalities(n)]
-            for a in range(1, n):
-                if a % p == 0:
-                    continue
-                cases[0] += 1
-                cs = card_S2_pp(a, p, t)
-                cd = card_S2_pp(-a, p, t)
-                if cs != sums[a] or cd != diffs[a]:
-                    lines[0].append(
-                        f"mismatch at a={a}, q={p}^{t}: closed form ({cs}, {cd}) "
-                        f"vs oracle ({sums[a]}, {diffs[a]})"
-                    )
-        phase = 1
-        if sample is not None:
-            if n <= _SMALL_SWEEP_ALL_A:
-                sums, diffs = tables or [c.tolist() for c in sum_diff_cardinalities(n)]
-                oracle = lambda a: (sums[a], diffs[a])
-            else:
-                oracle = lambda a: tuple(len(s) for s in sum_diff_sets(a, n, budget=budget))
-            for a in sample:
-                cases[1] += 1
-                osum, odiff = oracle(a)
-                csum = card_signed_sumset(HyperbolaSpec(2, 2, a, n)).total
-                cdiff = card_signed_sumset(HyperbolaSpec(2, 1, a, n)).total
-                if csum != osum or cdiff != odiff:
-                    lines[1].append(
-                        f"mismatch at a={a}, n={n}: composed ({csum}, {cdiff}) "
-                        f"vs oracle ({osum}, {odiff})"
-                    )
-    except Exception as exc:
-        return cases, lines, (phase, exc)
-    return cases, lines, None
+def _units(n: int) -> np.ndarray:
+    """The units of n, ascending: 0..n-1 with the multiples of each prime of n cleared."""
+    coprime = np.ones(n, dtype=bool)
+    for p, _ in factorize(n).factors:
+        coprime[::p] = False
+    return np.flatnonzero(coprime)
 
 
-def verify_sweep(
-    max_pp: int, max_n: int | None = None, workers: int = 1, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[int, int, list[str]]]:
+def _mismatches(n: int, a: np.ndarray, where: str) -> list[str]:
+    """A line for each unit of the array a where the closed forms disagree
+    with the oracle at n: |S| and |D| at a are the products over the prime
+    powers p^t of n of the class counts at a and at -a."""
+    s = d = 1
+    for p, t in factorize(n).factors:
+        s = s * _card_S2_pp_array(a, p, t)
+        d = d * _card_S2_pp_array(-a, p, t)
+    sums, diffs = sum_diff_cardinalities(n, a)
+    return [
+        f"mismatch at a={a[i]}, {where} ({s[i]}, {d[i]}) vs oracle ({sums[i]}, {diffs[i]})"
+        for i in np.flatnonzero((s != sums) | (d != diffs)).tolist()
+    ]
+
+
+def verify_sweep(max_pp: int, max_n: int | None = None) -> Iterator[tuple[int, int, list[str]]]:
     """Check the planar closed forms against the enumeration oracle.
 
     The prime-power phase (0) compares card_S2_pp at a and -a with the
     oracle's |S| and |D| for every unit a of every prime power up to max_pp.
-    The composite phase (1) compares card_signed_sumset at m = 2 and m = 1
-    for every n in [2, max_n]: at every unit a up to n = 300, above it at 20
-    units drawn from one seeded stream in ascending n.  Yields one record
-    (phase, cases, mismatch lines) per modulus and phase, in the order of
-    the serial sweep: every prime power ascending, then every composite n.
+    The composite phase (1) compares their products over the prime powers
+    of n for every n in [2, max_n]: at every unit a up to n = 300, above it
+    at 20 units drawn from one seeded stream in ascending n.  Yields one
+    record (phase, cases, mismatch lines) per modulus, every prime power
+    ascending, then every composite n.  Each modulus is checked with whole
+    arrays: the class of each a indexes the closed-form counts, and the
+    oracle counts only the rows of the units checked.
 
     A modulus over the 8192 table limit is refused (ValueError) before any
-    check.  An error is raised where the serial sweep meets it: one of the
-    prime-power phase after that modulus's record, one of the composite
-    phase after every prime-power record and the composite records up to
-    its modulus.  With workers > 1 the moduli are checked on at most that
-    many worker processes, never more than the usable CPUs or the moduli,
-    and the records are the same; closing the generator stops the workers.
+    check.
     """
     pp = {}  # every prime power q <= max_pp, with its (p, t)
-    for p in primes_up_to(max_pp):
+    # a larger bound has a prime in (8192, 16384] (Bertrand) and is refused
+    for p in primes_up_to(min(max_pp, 2 * _TABLE_LIMIT)):
         q, t = p, 1
         while q <= max_pp:
             pp[q] = p, t
@@ -674,51 +626,14 @@ def verify_sweep(
         _check_table_modulus(max(pp))
     if max_n >= 2:
         _check_table_modulus(max_n)
-    moduli = sorted(pp.keys() | range(2, max_n + 1))
+    for q, (p, t) in sorted(pp.items()):
+        a = _units(q)
+        yield 0, len(a), _mismatches(q, a, f"q={p}^{t}: closed form")
     rng = random.Random(_SWEEP_SEED)
-
-    def task(n: int) -> tuple:
-        sample = None
-        if n <= max_n:
-            coprime = np.ones(n, dtype=bool)
-            for p, _ in factorize(n).factors:
-                coprime[::p] = False
-            units = np.flatnonzero(coprime)
-            if n > _SMALL_SWEEP_ALL_A:
-                # sample's choices depend only on the population's length, so
-                # drawing indices picks what drawing from the list would
-                picks = rng.sample(range(len(units)), min(_SWEEP_SAMPLES, len(units)))
-                units = np.sort(units[picks])
-            sample = units.tolist()
-        return (n, *pp.get(n, (0, 0)), sample, budget)
-
-    # built lazily in ascending n, so the samples never depend on the workers
-    tasks = map(task, moduli)
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(workers, cpus, len(moduli))
-    pool = None
-    try:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=workers)
-            results = pool.map(_verify_modulus, tasks, chunksize=_SWEEP_CHUNK)
-        else:
-            results = map(_verify_modulus, tasks)
-        composite, error = [], None  # held back until the last prime power
-        for n, (cases, lines, failure) in zip(moduli, results):
-            if n in pp:
-                yield 0, cases[0], lines[0]
-            if failure and failure[0] == 0:
-                raise failure[1]
-            if n <= max_n and error is None:
-                composite.append((1, cases[1], lines[1]))
-                if failure:
-                    error = failure[1]
-        yield from composite
-        if error is not None:
-            raise error
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)  # after an error or a close, run no further task
+    for n in range(2, max_n + 1):
+        a = _units(n)
+        if n > _SMALL_SWEEP_ALL_A:
+            # sample's choices depend only on the population's length, so
+            # drawing indices picks what drawing from the list would
+            a = np.sort(a[rng.sample(range(len(a)), min(_SWEEP_SAMPLES, len(a)))])
+        yield 1, len(a), _mismatches(n, a, f"n={n}: composed")

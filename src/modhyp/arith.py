@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "PrimeFactorization",
     "euler_phi",
@@ -84,6 +86,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _pow_mod(b: np.ndarray, e: np.ndarray | int, m: np.ndarray | int) -> np.ndarray:
+    """b^e mod m elementwise, for an int64 array b and int64 arrays or ints
+    e >= 0 and m with 0 <= b < m < 2^31, so every product stays below 2^62."""
+    out = np.ones_like(b)
+    for i in range(int(np.max(e, initial=0)).bit_length()):
+        out = np.where((e >> i) & 1, out * b % m, out)
+        b = b * b % m
+    return out
 
 
 def _brent_rho(n: int) -> int:

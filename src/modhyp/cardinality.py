@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .arith import _legendre_unchecked, factorize, is_prime
 from .hyperbola import (
     DEFAULT_BUDGET,
@@ -140,6 +142,17 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
     if p == 2:
         return _p2_count(a, t)
     return _odd_count(p, t, _legendre_unchecked(a, p) == 1)
+
+
+def _card_S2_pp_array(a: np.ndarray, p: int, t: int) -> np.ndarray:
+    """card_S2_pp(a, p, t) at each a of an int64 array of units at the
+    prime p <= 8192.  The class of a, a mod 8 at p = 2 or whether a is a
+    square mod p at odd p, indexes the counts of the classes."""
+    if p == 2:
+        return np.array([_p2_count(r, t) for r in range(8)], dtype=np.int64)[a % 8]
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(1, p) ** 2 % p] = True
+    return np.where(square[a % p], _odd_count(p, t, True), _odd_count(p, t, False))
 
 
 def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CardinalityReport:

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="worker processes for verify (default 1); every other command ignores it",
+        help="accepted for compatibility and ignored: every command runs in one process",
     )
     budget.add_argument(
         "--budget",
@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, *flags):
-        # every command parses --threads, and only those of the other
-        # shared flags that its handler reads
+        # every command parses --threads, which none reads, and only those
+        # of the other shared flags that its handler reads
         p = sub.add_parser(name, parents=[threads, *flags], help=summary)
         p.set_defaults(handler=handler)
         return p
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = command("verify", _cmd_verify, "oracle-vs-closed-form sweep", budget)
+    p = command("verify", _cmd_verify, "oracle-vs-closed-form sweep")
     p.add_argument("--max-pp", type=int, required=True, help="prime-power sweep bound")
     p.add_argument("--max-n", type=int, default=None, help="also sweep composite n up to this bound")
 
@@ -421,7 +421,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     checked, mismatches = [0, 0], 0
-    for phase, cases, lines in verify_sweep(args.max_pp, args.max_n, args.threads, args.budget):
+    for phase, cases, lines in verify_sweep(args.max_pp, args.max_n):
         checked[phase] += cases
         mismatches += len(lines)
         sys.stderr.writelines(f"{line}\n" for line in lines)

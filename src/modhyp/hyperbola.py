@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import _pow_mod, euler_phi
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -42,6 +42,9 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _TABLE_LIMIT = 8192
+# the moduli the kernel takes: _pow_mod and the int64 products of _fibre
+# need n < 2^31
+_MODULUS_LIMIT = 2**31
 # Cells per kernel call.  Fibres are whole within a block, so the early exit
 # of signed_sumset is checked every _BLOCK // phi(n) heads: larger blocks
 # fire it late on d >= 3, smaller ones pay more numpy calls per cell.
@@ -73,8 +76,8 @@ class EnumerationBudgetError(RuntimeError):
         self.steps = steps
 
     def __reduce__(self):
-        # rebuild from the arguments, not from args = (message,): a verify
-        # worker process sends its errors back pickled
+        # rebuild from the arguments, not from args = (message,), so the
+        # error survives pickling
         return type(self), (self.tuple_count, self.budget, self.steps)
 
 
@@ -157,12 +160,13 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned (units, inverses) arrays for modulus n; read-only.
 
     int32 while a product of two residues fits it (n^2 < 2^31), which
-    halves the memory traffic of the kernel; int64 above.
+    halves the memory traffic of the kernel; int64 above.  The inverse of u
+    is u^(phi(n) - 1) (Euler), formed for all units at once.
     """
     dtype = np.int32 if n * n < 2**31 else np.int64
-    r = np.arange(n, dtype=dtype)
-    units = r[np.gcd(r, n) == 1]
-    inv = np.fromiter((pow(int(u), -1, n) for u in units), dtype=dtype, count=len(units))
+    wide = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    inv = _pow_mod(wide, len(wide) - 1, n).astype(dtype)
+    units = wide.astype(dtype)
     units.setflags(write=False)
     inv.setflags(write=False)
     return units, inv
@@ -171,7 +175,8 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
     """phi(n)^(d-1), formed one factor at a time: the first partial product
     over the budget is refused, so a huge d never builds its full power.
-    The d - 1 coordinate steps are charged on top, _BLOCK each."""
+    The d - 1 coordinate steps are charged on top, _BLOCK each.  A modulus
+    within the budget but not below _MODULUS_LIMIT is refused (ValueError)."""
     phi, count = euler_phi(spec.n), 1
     steps = spec.d - 1
     for _ in range(steps if phi > 1 else 0):
@@ -180,6 +185,8 @@ def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
             raise EnumerationBudgetError(count, budget)
     if count + steps * _BLOCK > budget:
         raise EnumerationBudgetError(count, budget, steps)
+    if spec.n >= _MODULUS_LIMIT:
+        raise ValueError(f"modulus n = {spec.n} must be below 2^31 (the oracle's int64 products)")
     return count
 
 
@@ -288,12 +295,16 @@ def _check_table_modulus(n: int) -> None:
         raise ValueError(f"n must be in [2, {_TABLE_LIMIT}]")
 
 
-def _table_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(units a, masks) for consecutive blocks of units a: masks[0, i] is the
-    sumset of a[i] and masks[1, i] its difference set."""
+def _table_blocks(
+    n: int, a: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(units a, masks) for consecutive blocks of the units a (default every
+    unit, ascending): masks[0, i] is the sumset of a[i] and masks[1, i] its
+    difference set."""
     units, _ = _unit_tables(n)
     phi = len(units)
-    for start, y, x in _blocks(n, units, (1,), 0, phi * phi):
+    a = units if a is None else a
+    for start, y, x in _blocks(n, a, (1,), 0, len(a) * phi):
         rows = len(y) // phi
         # sums x + y lie in [0, 2n) and shifted differences x - y + n in
         # (0, 2n): mark both in double-width rows, then fold those modulo n
@@ -304,7 +315,7 @@ def _table_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         at += rows * 2 * n + n
         at -= y
         marks.reshape(-1)[at] = True
-        yield units[start // phi :][:rows], marks[..., :n] | marks[..., n:]
+        yield a[start // phi :][:rows], marks[..., :n] | marks[..., n:]
 
 
 def sum_diff_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,14 +334,26 @@ def sum_diff_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def sum_diff_cardinalities(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|sumset| and |difference set| for every unit a (0 at non-units).
+def sum_diff_cardinalities(
+    n: int, a: np.ndarray | list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """|sumset| and |difference set| for every unit a (0 at non-units), or,
+    given an array of units a, at each of them in order, forming only their
+    rows.
 
     The rows are counted a block at a time and no table is kept, so memory
     is O(n).
     """
     _check_table_modulus(n)
-    counts = np.zeros((2, n), dtype=np.int64)
-    for a, masks in _table_blocks(n):
-        counts[:, a] = masks.sum(axis=2)
-    return counts[0], counts[1]
+    if a is None:
+        counts = np.zeros((2, n), dtype=np.int64)
+        for rows, masks in _table_blocks(n):
+            counts[:, rows] = masks.sum(axis=2)
+        return counts[0], counts[1]
+    a = np.asarray(a, dtype=np.int64) % n
+    if np.any(np.gcd(a, n) != 1):
+        raise ValueError(f"every a must be a unit modulo {n}")
+    counts = [np.zeros((2, 0), dtype=np.int64)]  # the columns of an empty a
+    counts += [masks.sum(axis=2) for _, masks in _table_blocks(n, a)]
+    sums, diffs = np.concatenate(counts, axis=1)
+    return sums, diffs

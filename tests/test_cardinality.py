@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from modhyp.cardinality import (
     FactorCount,
     PartialResultError,
     RatioValue,
+    _card_S2_pp_array,
     card_S2_pp,
     card_signed_sumset,
     ratio_c2,
@@ -76,6 +78,16 @@ def test_card_matches_oracle_prime_powers():
                 continue
             assert card_S2_pp(a, p, t) == int(sums[a]), (a, p, t)
             assert card_S2_pp(-a, p, t) == int(diffs[a]), (a, p, t)
+
+
+def test_card_array_matches_per_a():
+    # the class-keyed array form against card_S2_pp at every unit a and -a
+    # of every p^t <= 2048, so p = 2 up to t = 11
+    for p, t, q in prime_powers_up_to(2048):
+        a = np.array([a for a in range(1, q) if a % p], dtype=np.int64)
+        for signed in (a, -a):
+            counts = _card_S2_pp_array(signed, p, t)
+            assert counts.tolist() == [card_S2_pp(int(x), p, t) for x in signed], (p, t)
 
 
 def test_card_reduces_a():

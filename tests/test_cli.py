@@ -1,16 +1,15 @@
+import collections
 import csv
 import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from concurrent import futures
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -26,10 +25,10 @@ from modhyp.analysis import (
     primorial_series,
     solve_sum_product,
 )
-from modhyp.arith import euler_phi
-from modhyp.cardinality import card_S2_pp, card_signed_sumset
+from modhyp.arith import euler_phi, primes_up_to
+from modhyp.cardinality import _card_S2_pp_array, card_S2_pp, card_signed_sumset
 from modhyp.cli import build_parser, render_svg, run, write_reports
-from modhyp.hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points
+from modhyp.hyperbola import HyperbolaSpec, enumerate_points, sum_diff_cardinalities
 
 
 def run_cli(argv):
@@ -144,7 +143,7 @@ def test_threads_must_be_positive():
             assert (code, out) == (1, "") and "--threads" in err, (command, bad)
 
 
-_BUDGET_COMMANDS = ["enumerate", "card", "verify", "coverage", "plot"]
+_BUDGET_COMMANDS = ["enumerate", "card", "coverage", "plot"]
 
 
 def test_budget_and_format_parse_only_where_read():
@@ -157,7 +156,7 @@ def test_budget_and_format_parse_only_where_read():
     }
     assert [c for c, flags in shared.items() if "--budget" in flags] == _BUDGET_COMMANDS
     assert [c for c, flags in shared.items() if "--format" not in flags] == ["verify", "plot"]
-    assert sum(len(flags) for flags in shared.values()) == 23
+    assert sum(len(flags) for flags in shared.values()) == 22
     for argv in (
         ["ratio", "--a", "1", "--n", "7", "--budget", "5"],
         ["verify", "--max-pp", "7", "--format", "csv"],
@@ -324,29 +323,38 @@ def test_verify_sweep_yields_serial_records():
     assert totals[1] == sum(len(_units(n)) for n in range(2, 41))
 
 
-def test_verify_sweep_close_stops_workers(monkeypatch):
-    _stub_cpus(monkeypatch, 2)
-    sweep = analysis.verify_sweep(768, 400, workers=2)
-    assert next(sweep) == (0, 1, [])  # q = 2 has the one unit a = 1
-    sweep.close()
-    assert multiprocessing.active_children() == []
+def _patch_closed_form(monkeypatch, edits):
+    """Route the sweep's closed form through edits: the k-th evaluation at
+    p^t (k from 1) returns edits[p, t, k](a, counts) for the counts at the
+    array a, which is -a for the difference count.  The sweep evaluates
+    the sum, then the difference, at each modulus in its order."""
+    calls = collections.Counter()
+
+    def patched(a, p, t):
+        counts = _card_S2_pp_array(a, p, t)
+        calls[p, t] += 1
+        edit = edits.get((p, t, calls[p, t]))
+        return counts if edit is None else edit(a, counts)
+
+    monkeypatch.setattr("modhyp.analysis._card_S2_pp_array", patched)
 
 
-def _check_each_mismatch_reported(monkeypatch, threads):
-    def off_pp(a, p, t):
-        return card_S2_pp(a, p, t) + ((a, p, t) == (2, 5, 1))
+def _raise(a, counts):
+    raise ArithmeticError("injected")
 
-    def off_card(spec):
-        rep = card_signed_sumset(spec)
-        hit = spec == HyperbolaSpec(2, 2, 7, 12)
-        return rep._replace(total=rep.total + 1) if hit else rep
 
-    monkeypatch.setattr("modhyp.analysis.card_S2_pp", off_pp)
-    monkeypatch.setattr("modhyp.analysis.card_signed_sumset", off_card)
+def test_verify_reports_each_mismatch(monkeypatch):
+    # one sum off at a = 2 in the prime-power check of 5 (the first
+    # evaluation at 5^1), and one at a = 7 in the composite check of 12 (the
+    # seventh at 3^1, after q = 3 and n = 3, 6)
+    _patch_closed_form(
+        monkeypatch,
+        {(5, 1, 1): lambda a, c: c + (a == 2), (3, 1, 7): lambda a, c: c + (a == 7)},
+    )
     s, d = card_S2_pp(2, 5, 1), card_S2_pp(-2, 5, 1)
     cs = card_signed_sumset(HyperbolaSpec(2, 2, 7, 12)).total
     cd = card_signed_sumset(HyperbolaSpec(2, 1, 7, 12)).total
-    code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12", "--threads", threads])
+    code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12"])
     assert code == 2
     assert out.endswith(": 2 mismatches\n")
     assert err.splitlines() == [
@@ -355,151 +363,67 @@ def _check_each_mismatch_reported(monkeypatch, threads):
     ]
 
 
-def test_verify_reports_each_mismatch(monkeypatch):
-    _check_each_mismatch_reported(monkeypatch, "1")
-
-
-# monkeypatches reach the workers only when they are forked from this process
-_FORKED_WORKERS = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="workers are not forked"
-)
-
-
-def _stub_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-@_FORKED_WORKERS
-def test_verify_reports_each_mismatch_in_workers(monkeypatch):
-    _stub_cpus(monkeypatch, 2)
-    _check_each_mismatch_reported(monkeypatch, "2")
-    assert multiprocessing.active_children() == []
-
-
 def test_verify_samples_units_as_drawn_from_the_list(monkeypatch):
-    # above n = 300 the sweep checks 20 units drawn from one seeded stream
-    # in ascending n; the draw must be that from the list of every unit
-    tasks = []
+    # above n = 300 the composite check takes 20 units drawn from one seeded
+    # stream in ascending n; the draw must be that from the list of every unit
+    checked = []
 
-    def record(task):
-        tasks.append(task)
-        return (0, 0), ([], []), None
+    def record(n, a):
+        checked.append((n, a.tolist()))
+        return sum_diff_cardinalities(n, a)
 
-    monkeypatch.setattr("modhyp.analysis._verify_modulus", record)
-    code, _, err = run_cli(["verify", "--max-pp", "1", "--max-n", "1200", "--threads", "1"])
+    monkeypatch.setattr("modhyp.analysis.sum_diff_cardinalities", record)
+    code, _, err = run_cli(["verify", "--max-pp", "1", "--max-n", "1200"])
     assert (code, err) == (0, "")
-    assert [task[0] for task in tasks] == list(range(2, 1201))
+    assert [n for n, _ in checked] == list(range(2, 1201))
     rng = random.Random(0x5EED)
-    for n, p, t, sample, budget in tasks:
+    for n, sample in checked:
         units = _units(n)
         if n > 300:
             units = sorted(rng.sample(units, min(20, len(units))))
-        assert (p, t, sample, budget) == (0, 0, units, DEFAULT_BUDGET), n
-        assert all(type(a) is int for a in sample)
+        assert sample == units, n
 
 
-def test_verify_identical_across_worker_counts(monkeypatch):
-    # 330 crosses the n > 300 sampling; three usable CPUs, so --threads 3
-    # starts three workers on any host
-    _stub_cpus(monkeypatch, 3)
+def test_verify_identical_across_worker_counts():
+    # 330 crosses the n > 300 sampling; --threads is accepted and ignored
     runs = [
         run_cli(["verify", "--max-pp", "128", "--max-n", "330", "--threads", threads])
         for threads in ("1", "2", "3")
     ]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == 0 and runs[0][1].endswith(": 0 mismatches\n")
-    assert multiprocessing.active_children() == []
 
 
-def test_verify_worker_error_matches_serial(monkeypatch):
-    # phi(301) = 252 leading tuples exceed the budget in the n > 300 oracle
-    _stub_cpus(monkeypatch, 2)
-    argv = ["verify", "--max-pp", "400", "--max-n", "305", "--budget", "100"]
-    error = "error: enumeration needs at least 252 leading tuples, over the budget of 100\n"
-    for threads in ("1", "2"):
-        assert run_cli([*argv, "--threads", threads]) == (2, "", error)
-        assert multiprocessing.active_children() == []
+def test_verify_takes_no_budget():
+    # the 8192 table limit bounds the oracle, so verify has no --budget
+    code, out, err = run_cli(["verify", "--max-pp", "400", "--max-n", "305", "--budget", "100"])
+    assert (code, out) == (1, "") and "unrecognized arguments: --budget 100" in err
 
 
-@_FORKED_WORKERS
 def test_verify_errors_after_mismatches_match_serial(monkeypatch):
-    # the serial sweep raises a prime-power error at once; a composite one
-    # after every prime-power line and the composite lines before it
-    _stub_cpus(monkeypatch, 2)
-
-    def off_pp(a, p, t):
-        if (p, t) == (7, 1) and raise_at_7:
-            raise ArithmeticError("injected")
-        return card_S2_pp(a, p, t) + ((a, p, t) in ((2, 5, 1), (3, 13, 1)))
-
-    def off_card(spec):
-        if spec.n == 10:
-            raise ArithmeticError("injected")
-        rep = card_signed_sumset(spec)
-        return rep._replace(total=rep.total + 1) if spec.n in (8, 12) else rep
-
-    def lines_at(threads):
-        code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12", "--threads", threads])
+    # a prime-power error stops the sweep at once, a composite one after
+    # every prime-power line and the composite lines before it.  The sweep
+    # checks q = 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, then n = 2..12: the third
+    # evaluation at 2^3 is the sum at n = 8, the fifth at 5^1 that at n = 10
+    def lines_at(edits):
+        _patch_closed_form(monkeypatch, edits)
+        code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12"])
         assert (code, out) == (2, "") and err.endswith("error: injected\n")
-        assert multiprocessing.active_children() == []
         return [line.split(":")[0] for line in err.splitlines()]
 
-    monkeypatch.setattr("modhyp.analysis.card_S2_pp", off_pp)
-    monkeypatch.setattr("modhyp.analysis.card_signed_sumset", off_card)
-    raise_at_7 = False
-    assert lines_at("1") == lines_at("2") == [
+    off = {(5, 1, 1): lambda a, c: c + (a == 2), (13, 1, 1): lambda a, c: c + (a == 3)}
+    composite = {(2, 3, 3): lambda a, c: c + 1, (5, 1, 5): _raise, (3, 1, 7): lambda a, c: c + 1}
+    assert lines_at({**off, **composite}) == [
         "mismatch at a=2, q=5^1",
         "mismatch at a=3, q=13^1",
         *(f"mismatch at a={a}, n=8" for a in (1, 3, 5, 7)),
         "error",
     ]
-    raise_at_7 = True
-    assert lines_at("1") == lines_at("2") == ["mismatch at a=2, q=5^1", "error"]
-
-
-class _RecordingPool:
-    """A ProcessPoolExecutor stand-in that records its size and starts no
-    process: it maps in this one."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_verify_clamps_workers(monkeypatch):
-    # 16 prime powers up to 30, one task each
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    argv = ["verify", "--max-pp", "30", "--threads"]
-    serial = run_cli([*argv, "1"])
-    assert _RecordingPool.sizes == []
-    # one usable CPU takes the serial path: no pool
-    for cpus, sizes in ((8, [8]), (64, [8, 16]), (1, [8, 16])):
-        _stub_cpus(monkeypatch, cpus)
-        assert run_cli([*argv, "1000000"]) == serial
-        assert _RecordingPool.sizes == sizes
-    # without sched_getaffinity the usable CPUs are os.cpu_count()
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert run_cli([*argv, "1000000"]) == serial
-    assert _RecordingPool.sizes == [8, 16, 3]
+    assert lines_at({**off, (7, 1, 1): _raise}) == ["mismatch at a=2, q=5^1", "error"]
 
 
 def test_verify_refuses_max_n_over_limit_before_sweep(monkeypatch):
-    def no_sweep(n):
+    def no_sweep(n, *args):
         raise AssertionError(f"swept n = {n} before refusing")
 
     monkeypatch.setattr("modhyp.analysis.sum_diff_cardinalities", no_sweep)
@@ -510,10 +434,11 @@ def test_verify_refuses_max_n_over_limit_before_sweep(monkeypatch):
 
 
 def test_cli_imports_no_pool_machinery():
-    # the pool modules load only when verify starts workers, so every other
-    # command pays nothing for them at start-up
+    # every command runs in one process: no pool module is ever loaded, not
+    # by verify under --threads 2 either
     script = (
         "import sys, modhyp.cli; modhyp.cli.run(['ratio', '--a', '3', '--n', '7']); "
+        "modhyp.cli.run(['verify', '--max-pp', '16', '--max-n', '12', '--threads', '2']); "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     proc = subprocess.run(
@@ -529,7 +454,7 @@ def test_cli_imports_no_pool_machinery():
 
 def test_verify_refuses_over_limit_before_sweep(monkeypatch):
     # 8209 is the first prime above the 8192 table limit
-    def no_sweep(n):
+    def no_sweep(n, *args):
         raise AssertionError(f"swept n = {n} before refusing")
 
     monkeypatch.setattr("modhyp.analysis.sum_diff_cardinalities", no_sweep)
@@ -538,6 +463,23 @@ def test_verify_refuses_over_limit_before_sweep(monkeypatch):
     # 8192 = 2^13 is the largest prime power <= 8208: accepted, so it sweeps
     with pytest.raises(AssertionError, match="swept n = 2 "):
         run_cli(["verify", "--max-pp", "8208"])
+
+
+def test_verify_sieves_no_further_than_the_refusal(monkeypatch):
+    # a --max-pp over 2 * 8192 has a prime in (8192, 16384] (Bertrand), so
+    # the sieve stops there and the bound is refused all the same; a longer
+    # sieve fails here before it is built (at 10^10 it would take 10 GB)
+    limits = []
+
+    def record(limit):
+        assert limit <= 2 * 8192, f"sieved to {limit}"
+        limits.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr("modhyp.analysis.primes_up_to", record)
+    code, out, err = run_cli(["verify", "--max-pp", "10000000000"])
+    assert (code, out, err) == (1, "", "error: n must be in [2, 8192]\n")
+    assert limits == [16384]
 
 
 # ---------------------------------------------------------------- scan

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from modhyp.arith import euler_phi, primes_up_to
+import modhyp.hyperbola
 from modhyp.hyperbola import (
     _BLOCK,
+    DEFAULT_BUDGET,
     EnumerationBudgetError,
     HyperbolaSpec,
     ResidueSet,
+    _checked_tuple_count,
+    _unit_tables,
     enumerate_points,
     signed_sumset,
     sum_diff_cardinalities,
@@ -199,6 +203,41 @@ def test_coordinate_steps_charged_to_budget():
             signed_sumset(spec, budget=edge - 1)
 
 
+def test_modulus_bound_precedes_any_table(monkeypatch):
+    # _pow_mod and the kernel's int64 products need n < 2^31: a larger n that
+    # the budget admits is refused before any array is built, and the
+    # budget is still checked first
+    def no_tables(n):
+        raise AssertionError(f"built the tables of {n}")
+
+    monkeypatch.setattr(modhyp.hyperbola, "_unit_tables", no_tables)
+    spec = HyperbolaSpec(2, 2, 1, 2**31)
+    with pytest.raises(ValueError, match=r"below 2\^31"):
+        _checked_tuple_count(spec, 10**12)
+    for enumerate_ in (signed_sumset, lambda s, budget: list(enumerate_points(s, budget))):
+        with pytest.raises(ValueError, match=r"below 2\^31"):
+            enumerate_(spec, budget=10**12)
+    with pytest.raises(ValueError, match=r"below 2\^31"):
+        sum_diff_sets(1, 2**31, budget=10**12)
+    with pytest.raises(EnumerationBudgetError):
+        _checked_tuple_count(HyperbolaSpec(2, 2, 1, 2**31 - 1), DEFAULT_BUDGET)
+    with pytest.raises(EnumerationBudgetError):
+        signed_sumset(HyperbolaSpec(2, 2, 1, 2**31 - 1))
+
+
+def test_unit_tables_inverses():
+    # the inverses, formed as u^(phi(n) - 1), against pow(u, -1, n); the
+    # tables switch from int32 to int64 between 46340 and 46341
+    for n in range(2, 3001):
+        units, inv = _unit_tables(n)
+        assert units.tolist() == [u for u in range(n) if math.gcd(u, n) == 1], n
+        assert inv.tolist() == [pow(u, -1, n) for u in units.tolist()], n
+    for n, dtype in ((46340, np.int32), (46341, np.int64)):
+        units, inv = _unit_tables(n)
+        assert units.dtype == inv.dtype == dtype
+        assert inv.tolist() == [pow(u, -1, n) for u in units.tolist()], n
+
+
 # ---------------------------------------------------------------- invariants
 
 
@@ -283,6 +322,23 @@ def test_tables_match_per_a_oracle():
             assert np.flatnonzero(s_tab[a]).tolist() == s.values()
             assert np.flatnonzero(d_tab[a]).tolist() == d.values()
             assert int(s_card[a]) == len(s) and int(d_card[a]) == len(d)
+
+
+def test_cardinalities_at_given_rows():
+    # only the rows asked for are formed; they equal the full table's rows,
+    # in the order given, and a is taken modulo n
+    rng = random.Random(3)
+    for n in (301, 1024, 2310, 4999):
+        sums, diffs = sum_diff_cardinalities(n)
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        rows = rng.sample(units, 20)
+        s, d = sum_diff_cardinalities(n, np.array(rows))
+        assert s.tolist() == sums[rows].tolist() and d.tolist() == diffs[rows].tolist()
+        s, d = sum_diff_cardinalities(n, [a - n for a in rows])
+        assert s.tolist() == sums[rows].tolist() and d.tolist() == diffs[rows].tolist()
+    assert [c.tolist() for c in sum_diff_cardinalities(7, [])] == [[], []]
+    with pytest.raises(ValueError, match="unit"):
+        sum_diff_cardinalities(12, [1, 4])
 
 
 def test_tables_reject_out_of_range():
