@@ -10,7 +10,6 @@ stderr; exit codes are 0 (success), 1 (usage), 2 (computation failure).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
@@ -173,10 +172,10 @@ _BUILDERS = {
 def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     """Stream a homogeneous sequence of reports to out as CSV or a JSON array.
 
-    Reports are consumed one at a time and the rows of each are written as
-    soon as they are built, so a generator of reports is never held in
-    memory.  CSV starts with the fixed header for the report kind.  JSON is
-    an array of objects keyed by that header, every value a string,
+    Reports are consumed one at a time and the rows of each are written in
+    one out.write as soon as they are built, so a generator of reports is
+    never held in memory.  CSV starts with the fixed header for the report
+    kind.  JSON is an array of objects keyed by that header, every value a string,
     byte-identical to json.dumps of the list of those objects with
     indent=2, plus a newline.  An empty stream gives a header-only CSV (or
     "[]").  Row order follows input order, so output is byte-deterministic.
@@ -187,22 +186,24 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     header = _HEADERS[kind]
     build = _BUILDERS[kind]
     if fmt == "csv":
-        # csv.writer calls str on each value: no builder yields None or a float
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
+        # no builder yields a value holding , " \r or \n, so %s needs no
+        # quoting and gives csv.writer's bytes; one write per report
+        line = ",".join(["%s"] * len(header)) + "\n"
+        out.write(line % header)
         for rep in reports:
-            writer.writerows(build(rep))
+            out.write("".join([line % row for row in build(rep)]))
     elif fmt == "json":
-        rows = (row for rep in reports for row in build(rep))
         # the layout json.dumps gives the whole list at indent=2, written
-        # one object at a time; a str is escaped by json.dumps's own encoder
-        keys = [f"    {json.dumps(k)}: " for k in header]
+        # one report at a time; a str is escaped by json.dumps's own encoder
+        obj = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in header) + "\n  }"
         encode = json.encoder.encode_basestring_ascii
         sep = "[\n"
-        for row in rows:
-            body = ",\n".join(k + encode(str(v)) for k, v in zip(keys, row))
-            out.write(f"{sep}  {{\n{body}\n  }}")
-            sep = ",\n"
+        for rep in reports:
+            objs = []
+            for row in build(rep):
+                objs.append(sep + obj % tuple([encode(str(v)) for v in row]))
+                sep = ",\n"
+            out.write("".join(objs))
         out.write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         raise ValueError(f"unsupported report format {fmt!r}")
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         default=DEFAULT_BUDGET,
-        help=f"enumeration budget in leading tuples (default {DEFAULT_BUDGET})",
+        help=f"enumeration budget: leading tuples, 2^14 per coordinate step and n for "
+        f"the unit table (default {DEFAULT_BUDGET})",
     )
     fmt.add_argument(
         "--format",
@@ -355,26 +357,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.points:
         pts = enumerate_points(spec, budget=args.budget)
         pts = itertools.chain([next(pts)], pts)  # the budget check precedes any output
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow([f"x{i}" for i in range(1, spec.d + 1)])
-            writer.writerows(pts)
-        elif args.format == "json":
+        if args.format == "json":
             # json.dumps of the whole list, a batch at a time, outer brackets cut
             sep = "["
             while batch := list(itertools.islice(pts, 4096)):
                 sys.stdout.write(sep + json.dumps(batch)[1:-1])
                 sep = ", "
             sys.stdout.write("]\n")
+            return 0
+        if args.format == "csv":
+            line = ",".join(["%s"] * spec.d) + "\n"
+            sys.stdout.write(line % tuple(f"x{i}" for i in range(1, spec.d + 1)))
         else:
-            for pt in pts:
-                print(" ".join(str(c) for c in pt))
+            line = " ".join(["%s"] * spec.d) + "\n"
+        while batch := list(itertools.islice(pts, 4096)):
+            sys.stdout.write("".join([line % pt for pt in batch]))
         return 0
     attained = signed_sumset(spec, budget=args.budget)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["residue"])
-        writer.writerows([v] for v in attained)
+        values = attained.values()
+        sys.stdout.write("residue\n")
+        for i in range(0, len(values), 4096):
+            sys.stdout.write("".join([f"{v}\n" for v in values[i : i + 4096]]))
     elif args.format == "json":
         payload = {
             "d": spec.d,
@@ -438,10 +442,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     windows = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
     if args.format == "table":
         for window in windows:
-            sys.stdout.writelines(
-                f"n={n} c2={rat} ({dec}) {classification}\n"
-                for _, n, rat, dec, classification in _dominance_rows(window)
-            )
+            rows = _dominance_rows(window)
+            lines = [f"n={n} c2={rat} ({dec}) {c}\n" for _, n, rat, dec, c in rows]
+            sys.stdout.write("".join(lines))
     else:
         write_reports(windows, args.format, "dominance", sys.stdout)
     print(f"skipped {sum(skipped)} moduli sharing a factor with a={args.a}", file=sys.stderr)

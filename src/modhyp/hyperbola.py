@@ -56,29 +56,32 @@ class EnumerationBudgetError(RuntimeError):
 
     The cost is the leading tuples plus ``_BLOCK`` for each of the d - 1
     coordinate steps of a kernel call, so a huge d is refused even where
-    phi(n) = 1.  tuple_count is the first of phi(n), phi(n)^2,
-    ..., phi(n)^(d-1) over the budget, a lower bound on the leading tuples
-    (exact when it is the last), or all of them when the steps tip it over.
+    phi(n) = 1, plus n for the unit table that ``_unit_tables`` builds from
+    all n residues before the first block.  tuple_count is the first of
+    phi(n), phi(n)^2, ..., phi(n)^(d-1) over the budget, a lower bound on
+    the leading tuples (exact when it is the last), or all of them when the
+    steps and the table tip it over.
     """
 
-    def __init__(self, tuple_count: int, budget: int, steps: int = 0) -> None:
+    def __init__(self, tuple_count: int, budget: int, steps: int = 0, table: int = 0) -> None:
         # a count past 1024 bits prints as the power of two below it, so the
         # message never meets the interpreter's int-to-str digit limit
         bits = tuple_count.bit_length()
         shown = tuple_count if bits <= 1024 else f"2^{bits - 1}"
-        charged = f" and {steps} coordinate steps at {_BLOCK} each" if steps else ""
+        extra = f", {steps} coordinate steps at {_BLOCK} each and a unit table of {table} residues"
         super().__init__(
-            f"enumeration needs at least {shown} leading tuples{charged}, "
+            f"enumeration needs at least {shown} leading tuples{extra if steps else ''}, "
             f"over the budget of {budget}"
         )
         self.tuple_count = tuple_count
         self.budget = budget
         self.steps = steps
+        self.table = table
 
     def __reduce__(self):
         # rebuild from the arguments, not from args = (message,), so the
         # error survives pickling
-        return type(self), (self.tuple_count, self.budget, self.steps)
+        return type(self), (self.tuple_count, self.budget, self.steps, self.table)
 
 
 @dataclass(frozen=True)
@@ -175,16 +178,17 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
     """phi(n)^(d-1), formed one factor at a time: the first partial product
     over the budget is refused, so a huge d never builds its full power.
-    The d - 1 coordinate steps are charged on top, _BLOCK each.  A modulus
-    within the budget but not below _MODULUS_LIMIT is refused (ValueError)."""
+    The d - 1 coordinate steps are charged on top, _BLOCK each, and so is
+    the n-residue unit table.  A modulus within the budget but not below
+    _MODULUS_LIMIT is refused (ValueError)."""
     phi, count = euler_phi(spec.n), 1
     steps = spec.d - 1
     for _ in range(steps if phi > 1 else 0):
         count *= phi
         if count > budget:
             raise EnumerationBudgetError(count, budget)
-    if count + steps * _BLOCK > budget:
-        raise EnumerationBudgetError(count, budget, steps)
+    if count + steps * _BLOCK + spec.n > budget:
+        raise EnumerationBudgetError(count, budget, steps, spec.n)
     if spec.n >= _MODULUS_LIMIT:
         raise ValueError(f"modulus n = {spec.n} must be below 2^31 (the oracle's int64 products)")
     return count

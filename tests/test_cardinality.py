@@ -179,9 +179,11 @@ def test_partial_result_error():
     assert err.value.uncomputed == ((7, 1),)
     assert [f.p for f in err.value.computed] == [11]
     assert "7^1" in str(err.value)
-    # the computed factors keep factor order around the blocked ones
+    # the computed factors keep factor order around the blocked ones; the
+    # budget fits the oracle at 2 (1 tuple, 2 steps of 2^14, a 2-residue
+    # table) but not at 5 (16 tuples, the steps, a 5-residue table)
     with pytest.raises(PartialResultError) as err:
-        card_signed_sumset(HyperbolaSpec(3, 3, 1, 2 * 5 * 7 * 11 * 13), budget=32770)
+        card_signed_sumset(HyperbolaSpec(3, 3, 1, 2 * 5 * 7 * 11 * 13), budget=32771)
     assert err.value.computed == (
         FactorCount(2, 1, 1, METHOD_ORACLE),
         FactorCount(11, 1, 11, METHOD_FULL_COVERAGE),

@@ -27,7 +27,7 @@ from modhyp.analysis import (
 )
 from modhyp.arith import euler_phi, primes_up_to
 from modhyp.cardinality import _card_S2_pp_array, card_S2_pp, card_signed_sumset
-from modhyp.cli import build_parser, render_svg, run, write_reports
+from modhyp.cli import _BUILDERS, build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points, sum_diff_cardinalities
 
 
@@ -240,6 +240,28 @@ def test_budget_exhaustion_exits_2():
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert "budget" in err, argv
+
+
+def test_unit_table_charged_to_budget(monkeypatch):
+    # n = 2 * 3 * ... * 23: its phi(n) = 36,495,360 leading tuples fit the
+    # default budget, but not with the unit table of all n residues, so it
+    # is refused before that table is built
+    def no_tables(n):
+        raise AssertionError(f"built the tables of {n}")
+
+    monkeypatch.setattr(modhyp.hyperbola, "_unit_tables", no_tables)
+    for points in ([], ["--points"]):
+        code, out, err = run_cli(["enumerate", "--a", "1", "--n", "223092870", *points])
+        assert (code, out) == (2, ""), points
+        assert "a unit table of 223092870 residues, over the budget of 100000000" in err
+    monkeypatch.undo()
+    # at d = 2 a budget of phi(n) + n + 2^14 fits, one less does not
+    edge = euler_phi(101) + 101 + 16384
+    for points in ([], ["--points"]):
+        argv = ["enumerate", "--a", "1", "--n", "101", "--format", "csv", *points]
+        assert run_cli([*argv, "--budget", str(edge)])[0] == 0, points
+        code, out, err = run_cli([*argv, "--budget", str(edge - 1)])
+        assert (code, out) == (2, "") and f"budget of {edge - 1}" in err, points
 
 
 def test_budget_edge_in_dimension():
@@ -754,7 +776,93 @@ def test_write_reports_rejects_unknown_format():
     assert out.getvalue() == ""
 
 
+class _CountingIO(io.StringIO):
+    """A StringIO that counts the calls to its write."""
+
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("kind", list(_BUILDERS))
+def test_write_reports_writes_once_per_report(kind):
+    # the header or the closing bracket, then one write per report, empty or not
+    samples = _sample_reports(kind)
+    for fmt in ("csv", "json"):
+        for count in (0, 1, 3):
+            out = _CountingIO()
+            write_reports(iter(samples[:count]), fmt, kind, out)
+            assert out.writes == count + 1, (fmt, count)
+
+
+@pytest.mark.parametrize("kind", list(_BUILDERS))
+def test_built_fields_need_no_csv_quoting(kind):
+    # the CSV line template writes each field with %s, unquoted: csv.writer
+    # would quote a field holding any of these
+    for rep in _sample_reports(kind):
+        for row in _BUILDERS[kind](rep):
+            for v in row:
+                assert not set(str(v)) & set(',"\r\n'), (kind, v)
+
+
+def test_scan_table_writes_once_per_window():
+    out = _CountingIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert run(["scan", "--a", "1019", "--max-n", "20000"]) == 0
+    assert out.writes == len(list(analysis.dominance_scan(1019, 20000))) == 3
+
+
+def _pipe_sha256(argv):
+    # through a real pipe: the TextIOWrapper path that a shell user sees
+    proc = subprocess.run(
+        [sys.executable, "-m", "modhyp", *argv],
+        capture_output=True,
+        env=_subprocess_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_scan_bytes_pinned_through_a_pipe():
+    argv = ("--a", "1019", "--max-n", "20000", "--format", "csv")
+    assert _pipe_sha256(["scan", *argv]) == _SCAN_SHA256[argv]
+
+
+# sha256 of enumerate --points stdout, pinned from the release that wrote
+# it with csv.writer and one print per point
+_ENUMERATE_SHA256 = {
+    "csv": "7260d2a780add734bba589a2f1db623f94048b80ae08c361806cf76ee28365b0",
+    "json": "7750baef6956a32564e8852eb0437c94e9896d89a8515d51a3b8a9ff492a456f",
+    "table": "6568f3b2e07c2b27438f5a698c47ab241b2dd0d7411395d3b5b1fa3c7c78a402",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_ENUMERATE_SHA256))
+def test_enumerate_bytes_pinned_through_a_pipe(fmt):
+    argv = ["enumerate", "--d", "2", "--a", "4", "--n", "101", "--points", "--format", fmt]
+    assert _pipe_sha256(argv) == _ENUMERATE_SHA256[fmt]
+
+
 # ---------------------------------------------------------------- enumerate
+
+
+def test_enumerate_writes_4096_rows_per_call():
+    # phi(10007) = 10006 points; the sumset of x + 1/x has (p + 1) / 2 members
+    size = len(modhyp.signed_sumset(HyperbolaSpec(2, 2, 1, 10007)))
+    for extra, fmt, writes in (
+        (["--points"], "csv", 1 + 3),
+        (["--points"], "table", 3),
+        (["--points"], "json", 3 + 1),
+        ([], "csv", 1 + math.ceil(size / 4096)),
+    ):
+        out = _CountingIO()
+        argv = ["enumerate", "--a", "1", "--n", "10007", "--format", fmt, *extra]
+        with redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.writes == writes, (extra, fmt)
 
 
 def test_enumerate_points_csv():

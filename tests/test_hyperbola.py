@@ -193,14 +193,18 @@ def test_signed_sumset_budget():
 
 def test_coordinate_steps_charged_to_budget():
     # the kernel takes d - 1 numpy steps per block even at phi(n) = 1, so
-    # each step is charged _BLOCK tuples: the budget that exactly fits the
-    # tuples plus the steps passes, one less is refused before any work
+    # each step is charged _BLOCK tuples, and the unit table built first
+    # from all n residues is charged n: the budget that exactly fits the
+    # tuples, the steps and the table passes, one less is refused before
+    # any work
     for spec, tuples in ((HyperbolaSpec(40, 40, 1, 2), 1), (HyperbolaSpec(3, 2, 2, 5), 16)):
-        edge = tuples + (spec.d - 1) * _BLOCK
+        edge = tuples + (spec.d - 1) * _BLOCK + spec.n
         assert set(signed_sumset(spec, budget=edge)) == naive_signed_sumset(spec)
         assert len(list(enumerate_points(spec, budget=edge))) == tuples
-        with pytest.raises(EnumerationBudgetError, match=f"{spec.d - 1} coordinate steps"):
+        charged = f"{spec.d - 1} coordinate steps at {_BLOCK} each and a unit table of {spec.n} "
+        with pytest.raises(EnumerationBudgetError, match=charged) as err:
             signed_sumset(spec, budget=edge - 1)
+        assert (err.value.steps, err.value.table) == (spec.d - 1, spec.n)
 
 
 def test_modulus_bound_precedes_any_table(monkeypatch):
