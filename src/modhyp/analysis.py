@@ -12,11 +12,13 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _legendre_unchecked, _pow_mod, factorize, is_prime, primes_up_to, sqrt_mod_pp
+from .arith import _TRIAL_PRIMES, _jacobi, _legendre_unchecked, _units, factorize, is_prime
+from .arith import primes_up_to, sqrt_mod_pp
 from .cardinality import _card_S2_pp_array, ratio_c2, ratio_c2_pp
 from .hyperbola import (
     _TABLE_LIMIT,
@@ -59,6 +61,9 @@ _CLASSES = (DIFFERENCE_DOMINANT, BALANCED, SUM_DOMINANT)
 _BOUND_PRIME_LIMIT = 100_000
 _WINDOW = 1 << 13  # moduli per ratio sieve window
 _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
+# the largest period _symbols tabulates: its 2^15 entries take about 11 ms on a 2-core
+# host, what the kernel (0.8 us a prime) spends on the 3-mod-4 primes of a range to 3 * 10^5
+_SYMBOL_TABLE_LIMIT = 1 << 16
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
 _SWEEP_SEED = 0x5EED
@@ -183,20 +188,39 @@ def _residues(a: int, m: np.ndarray) -> np.ndarray:
     return -r % m if a < 0 else r
 
 
+@lru_cache(maxsize=16)
+def _symbols(a: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(a/P) as a function of the int64 arrays a mod P and P, for odd primes
+    P < 2^31 not dividing a.  With a' = a over the squares of the trial
+    primes, (a/P) = (a'/P) depends only on P mod 4|a'| (reciprocity for the
+    Jacobi symbol): a period up to _SYMBOL_TABLE_LIMIT is tabulated once,
+    at its odd residues, and a longer one runs the kernel at each P."""
+    core = a
+    for p in _TRIAL_PRIMES:
+        while core and core % (p * p) == 0:  # a = 0 needs no symbol
+            core //= p * p
+    period = 4 * abs(core)
+    if not 0 < period <= _SYMBOL_TABLE_LIMIT:
+        return _jacobi
+    odd = np.arange(1, period, 2)
+    table = _jacobi(core % odd, odd)
+    return lambda r, p: table[(p % period) >> 1]
+
+
 def _prime_ratios(a: int, primes: np.ndarray, eligible: bool) -> tuple[np.ndarray, np.ndarray]:
     """ratio_c2_pp(a, P, 1) at each prime P of an int64 array (P < 2^31),
     as the reduced pairs (num, den).
 
     (0, 0) where P | a.  A prime P = 3 (mod 4) gives ((P + e)/2, (P - e)/2)
-    with e its Legendre symbol at a (Euler's criterion), every other prime
-    (1, 1).  With eligible set, e = -1 gives (0, 0) as well.
+    with e its Legendre symbol at a (_symbols), every other prime (1, 1).
+    With eligible set, e = -1 gives (0, 0) as well.
     """
     r = _residues(a, primes)
     num = (r != 0).astype(np.int64)
     den = num.copy()
     k = np.flatnonzero((primes & 3 == 3) & (r != 0))
     p = primes[k]
-    e = np.where(_pow_mod(r[k], p >> 1, p) == 1, 1, -1)
+    e = _symbols(a)(r[k], p)
     num[k], den[k] = (p + e) >> 1, (p - e) >> 1
     if eligible:
         num[k[e < 0]] = den[k[e < 0]] = 0
@@ -247,8 +271,9 @@ def _ratio_sieve(
     scattered = []  # (num, den, p): the ratio at each prime p >= dense, and p
     strided = []  # (p^t, divisor or None, multiplier) for the other powers, in order
     dense = _WINDOW >> 7  # below it a prime has over 128 multiples a window: stride them
-    for p in primes_up_to(math.isqrt(x)):
-        if a % p == 0 or eligible and p % 4 == 3 and _legendre_unchecked(a, p) < 0:
+    small = np.array(primes_up_to(math.isqrt(x)), dtype=np.int64)
+    for p, den in zip(small.tolist(), _prime_ratios(a, small, eligible)[1].tolist()):
+        if den == 0:
             pairs = [(0, 0)]  # p kills its multiples
         else:
             pairs, q = [], p
@@ -380,14 +405,6 @@ def dominance_scan(
         )
 
 
-def _product(values: list[int]) -> int:
-    # a balanced product tree: the big multiplications come last and pair
-    # operands of equal size
-    while len(values) > 1:
-        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
-    return values[0] if values else 1
-
-
 def dominance_class_constant(a: int) -> Fraction:
     """The parity/residue-keyed constant of the density lower bound."""
     if a % 2 == 0:
@@ -430,19 +447,29 @@ def density_report(
         eligible += int(np.count_nonzero(den))
         dominant += int(np.count_nonzero(above(num, den)))
     constant = dominance_class_constant(a)
-    ps = [
-        p
-        for p in primes_up_to(prime_limit)
-        if p % 4 == 3 and _legendre_unchecked(a, p) == 1
-    ]
-    # both bounds are floored to 12 decimal places by one integer division:
-    # the exact products carry tens of thousands of digits, and rounding
-    # down keeps them certified
+    primes = np.array(primes_up_to(prime_limit), dtype=np.int64)
+    primes = primes[primes & 3 == 3]
+    ps = primes[_prime_ratios(a, primes, True)[1] > 0].tolist()  # symbol +1
+    # V = constant * prod (1 - 1/p^2) in fixed point: each of the len(ps) + 1
+    # floors loses under one unit, and the later factors, all below 1, only
+    # shrink what was lost, so lo <= V * 2^128 < lo + len(ps) + 1
+    lo = (constant.numerator << 128) // constant.denominator
+    for p in ps:
+        lo = lo * (p * p - 1) // (p * p)
     scale = 10**12
-    num = constant.numerator * _product([p * p - 1 for p in ps]) * scale
-    den = constant.denominator * _product([p * p for p in ps])
-    truncated = Fraction(num // den, scale)
-    rigorous = Fraction(num * (prime_limit - 1) // (den * prime_limit), scale)
+
+    def floors(num: int, den: int) -> tuple[int, int]:
+        # the 12-decimal floors of num/den and of num/den * (1 - 1/prime_limit)
+        return num * scale // den, num * scale * (prime_limit - 1) // (den * prime_limit)
+
+    bounds = {floors(lo, 1 << 128), floors(lo + len(ps) + 1, 1 << 128)}
+    if len(bounds) > 1:  # a 12-decimal number between the ends: in practice a bound
+        # equal to one, which needs the p^2 of the largest p to cancel; against
+        # the constant's 63 = 7 * 3^2 the fixed point is exact, so only the tail
+        # (prime_limit - 1)/prime_limit does it, as at a = 1009, prime_limit = 50
+        num = constant.numerator * math.prod(p * p - 1 for p in ps)
+        bounds = {floors(num, constant.denominator * math.prod(p * p for p in ps))}
+    truncated, rigorous = (Fraction(f, scale) for f in bounds.pop())
     return DensityReport(
         a=a,
         x=x,
@@ -572,14 +599,6 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
     ):  # pragma: no cover - guarded by construction
         raise RuntimeError("substitution check failed")
     return triple
-
-
-def _units(n: int) -> np.ndarray:
-    """The units of n, ascending: 0..n-1 with the multiples of each prime of n cleared."""
-    coprime = np.ones(n, dtype=bool)
-    for p, _ in factorize(n).factors:
-        coprime[::p] = False
-    return np.flatnonzero(coprime)
 
 
 def _mismatches(n: int, a: np.ndarray, where: str) -> list[str]:

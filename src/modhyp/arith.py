@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,7 +53,7 @@ def primes_up_to(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 _TRIAL_PRIMES = primes_up_to(10_000)
@@ -88,14 +89,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pow_mod(b: np.ndarray, e: np.ndarray | int, m: np.ndarray | int) -> np.ndarray:
-    """b^e mod m elementwise, for an int64 array b and int64 arrays or ints
-    e >= 0 and m with 0 <= b < m < 2^31, so every product stays below 2^62."""
-    out = np.ones_like(b)
-    for i in range(int(np.max(e, initial=0)).bit_length()):
-        out = np.where((e >> i) & 1, out * b % m, out)
-        b = b * b % m
+def _pow_mod(b: np.ndarray, e: int, m: int) -> np.ndarray:
+    """b^e mod m elementwise, for an int64 array b with 0 <= b < m < 2^31
+    and an int e >= 0, so every product stays below 2^62."""
+    out, b = np.ones_like(b), b.copy()
+    for i in range(e.bit_length()):
+        if e >> i & 1:
+            out *= b
+            out %= m
+        b *= b
+        b %= m
     return out
+
+
+def _jacobi(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The Jacobi symbol (r/m) elementwise, for int64 arrays with odd
+    0 < m < 2^31 and 0 <= r < m.  Each step strips the twos of r, where
+    (2/m) = -1 at m = 3, 5 (mod 8), then swaps r and m by reciprocity, -1
+    at r = m = 3 (mod 4); bit 1 of s collects the signs.  An entry is done
+    at r = 0, where m is the gcd of its inputs: the symbol is 0 unless m = 1."""
+    s = np.zeros_like(r)
+    while r.any():
+        low = r & -r | (r == 0)  # 1 where done, so the step leaves it as it is
+        r = r // low
+        # low = 2^k with k odd exactly when it sets a bit of 0x2AAAAAAA
+        s ^= np.where(low & 0x2AAAAAAA, m ^ m >> 1, 0) ^ r & m
+        r, m = m % (r | (r == 0)), np.where(r, r, m)
+    return np.where(m == 1, 1 - (s & 2), 0)
 
 
 def _brent_rho(n: int) -> int:
@@ -194,6 +214,14 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)
     return out
+
+
+def _units(n: int) -> np.ndarray:
+    """The units of n, ascending: 0..n-1 with the multiples of each prime of n cleared."""
+    coprime = np.ones(n, dtype=bool)
+    for p, _ in factorize(n).factors:
+        coprime[::p] = False
+    return np.flatnonzero(coprime)
 
 
 def legendre(a: int, p: int) -> int:

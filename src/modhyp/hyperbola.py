@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import _pow_mod, euler_phi
+from .arith import _pow_mod, _units, euler_phi
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -167,9 +167,9 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     is u^(phi(n) - 1) (Euler), formed for all units at once.
     """
     dtype = np.int32 if n * n < 2**31 else np.int64
-    wide = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
-    inv = _pow_mod(wide, len(wide) - 1, n).astype(dtype)
-    units = wide.astype(dtype)
+    wide = _units(n)
+    inv = _pow_mod(wide, len(wide) - 1, n).astype(dtype, copy=False)
+    units = wide.astype(dtype, copy=False)
     units.setflags(write=False)
     inv.setflags(write=False)
     return units, inv

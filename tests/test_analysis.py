@@ -26,7 +26,7 @@ from modhyp.analysis import (
     primorial_series,
     solve_sum_product,
 )
-from modhyp.arith import factorize, is_prime, legendre, primes_up_to
+from modhyp.arith import _jacobi, factorize, is_prime, legendre, primes_up_to
 from modhyp.cardinality import card_S2_pp, ratio_c2
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
@@ -129,10 +129,12 @@ def test_study_records_contract():
 
 # The range studies read one ratio sieve; these tests compare it, modulus by
 # modulus, with ratio_c2 and legendre.  1019 and 1009 are prime factors of a
-# above sqrt(x), and 3 * 10^40 + 7 is past 2^64.  The thresholds 1 +- 10^-30
-# overflow any 64-bit product s*M and a float reads them as 1; 10^40 is past
-# every ratio.
-_SIEVE_AS = (1, 2, 3, 5, 7, 8, 15, 36, -3, -7, 1019, 4 * 1009**2, 3 * 10**40 + 7)
+# above sqrt(x), and 3 * 10^40 + 7 is past 2^64.  The symbols at +-4 * 1009^2
+# come from a table of period 4, those at 4036036 = 2^2 * 821 * 1229 from the
+# kernel at each prime.  The thresholds 1 +- 10^-30 overflow any 64-bit
+# product s*M and a float reads them as 1; 10^40 is past every ratio.
+_SIEVE_AS = (1, 2, 3, 5, 7, 8, 15, 36, -3, -7, 1019, 3 * 10**40 + 7)
+_SIEVE_AS += (4036036, 4 * 1009**2, -4 * 1009**2)
 _THRESHOLDS = (
     1,
     Fraction(3, 2),
@@ -209,6 +211,21 @@ def test_prime_ratios_match_closed_forms():
                 else:
                     r = Fraction(card_S2_pp(a, p, 1), card_S2_pp(-a, p, 1))
                     assert (s, d) == (r.numerator, r.denominator), (a, p)
+
+
+@pytest.mark.parametrize("core", (16383, 16385))
+def test_symbol_table_matches_kernel(core):
+    # a' = 3 * 43 * 127 has the period 65532, just within the table limit;
+    # a' = 5 * 29 * 113 has 65540, just past it, and takes the kernel
+    assert 4 * 16383 <= analysis._SYMBOL_TABLE_LIMIT < 4 * 16385
+    primes = np.array(primes_up_to(3 * 10**5)[1:], dtype=np.int64)
+    for a in (core, -core, 9 * 1009**2 * core):
+        symbol = analysis._symbols(a)
+        assert (symbol is _jacobi) == (core == 16385)
+        p = primes[a % primes != 0]
+        r = analysis._residues(a, p)
+        assert symbol(r, p).tolist() == _jacobi(r, p).tolist(), a
+        assert symbol(r, p)[:300].tolist() == [legendre(a, q) for q in p[:300].tolist()]
 
 
 def test_residues_of_any_size():
@@ -300,6 +317,50 @@ def test_density_report_small():
     assert 0 <= rep.empirical_density <= 1
     assert rep.bound_rigorous < rep.bound_truncated < 1
     assert rep.class_constant == 1
+
+
+def _floored_bounds(a, prime_limit):
+    # the bounds from one exact product each, floored to 12 decimals
+    ps = [p for p in primes_up_to(prime_limit) if p % 4 == 3 and legendre(a, p) == 1]
+    v = dominance_class_constant(a) * Fraction(
+        math.prod(p * p - 1 for p in ps), math.prod(p * p for p in ps)
+    )
+    tail = Fraction(prime_limit - 1, prime_limit)
+    return tuple(Fraction(math.floor(f * 10**12), 10**12) for f in (v, v * tail))
+
+
+def test_density_bounds_equal_exact_floors():
+    for a in (1, 2, 3, 5, 9, -7, 11, 1019, 4036036, 4 * 1009**2, 3 * 10**40 + 7):
+        for prime_limit in (1, 2, 3, 5, 7, 8, 100, 1000, 10**4, 10**5):
+            rep = density_report(a, 2, prime_limit=prime_limit)
+            got = rep.bound_truncated, rep.bound_rigorous
+            assert got == _floored_bounds(a, prime_limit), (a, prime_limit)
+
+
+def test_density_bounds_on_twelve_decimal_numbers(monkeypatch):
+    products = []
+
+    class Math:  # math, recording the exact products of the fallback
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def prod(self, values):
+            products.append(1)
+            return math.prod(values)
+
+    monkeypatch.setattr(analysis, "math", Math())
+    # ps = [3]: 63/64 * 8/9 = 7/8 and 7/8 * 4/5 = 7/10, exact in fixed point
+    rep = density_report(1, 2, prime_limit=5)
+    assert (rep.bound_truncated, rep.bound_rigorous, products) == (
+        Fraction(7, 8),
+        Fraction(7, 10),
+        [],
+    )
+    # symbol +1 at 3 and 7 only, below 50: 63/64 * 8/9 * 48/49 = 6/7, and
+    # the tail 49/50 gives 21/25, which the fixed point straddles
+    rep = density_report(1009, 2, prime_limit=50)
+    assert rep.bound_rigorous == Fraction(21, 25) and products
+    assert (rep.bound_truncated, rep.bound_rigorous) == _floored_bounds(1009, 50)
 
 
 def test_density_eligibility_excludes_nonresidues():

@@ -1,17 +1,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint as sympy_factorint
+from sympy import jacobi_symbol as sympy_jacobi_symbol
 from sympy import nextprime as sympy_nextprime
 from sympy import prevprime as sympy_prevprime
+from sympy import primerange as sympy_primerange
 from sympy.functions.combinatorial.numbers import legendre_symbol as sympy_legendre_symbol
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from modhyp.arith import (
     PrimeFactorization,
+    _jacobi,
     euler_phi,
     factorize,
     is_prime,
@@ -227,6 +231,13 @@ def test_every_psi_is_composite():
         is_prime(_PSI[-1])  # past the 13-base range, refused rather than guessed
 
 
+def test_primes_up_to_is_a_list_of_ints():
+    for limit in (-1, 0, 1, 2, 3, 4, 97, 10**5):
+        primes = primes_up_to(limit)
+        assert type(primes) is list and all(type(p) is int for p in primes)
+        assert primes == list(sympy_primerange(limit + 1)), limit
+
+
 def test_is_prime_matches_sieve():
     limit = 10**6
     flags = bytearray(limit + 1)
@@ -353,6 +364,32 @@ def test_refusal_at_or_above_psi13(n):
 @given(st.integers(min_value=-(10**30), max_value=10**30), _PRIMES.filter(lambda p: p > 2))
 def test_legendre_matches_sympy(a, p):
     assert legendre(a, p) == sympy_legendre_symbol(a, p)
+
+
+def _jacobi_of(pairs):
+    r, m = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return _jacobi(r, m).tolist()
+
+
+def test_jacobi_kernel_exhaustive_small():
+    # every 0 <= r < m for odd m < 200: m = 1, r = 0 and gcd(r, m) > 1 included
+    pairs = [(r, m) for m in range(1, 200, 2) for r in range(m)]
+    assert _jacobi_of(pairs) == [sympy_jacobi_symbol(r, m) for r, m in pairs]
+
+
+# whole arrays, so entries leave the kernel's loop at different steps
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**31), st.integers(0, 2**30 - 1)),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(2**31 - 2, 2**30 - 1), (0, 0), (2**30, 2**29 + 1)])
+def test_jacobi_kernel_matches_sympy(draws):
+    pairs = [(r % (2 * h + 1), 2 * h + 1) for r, h in draws]
+    assert _jacobi_of(pairs) == [sympy_jacobi_symbol(r, m) for r, m in pairs]
 
 
 @settings(max_examples=100, deadline=None)

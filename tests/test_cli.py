@@ -588,6 +588,18 @@ def test_scan_output_bytes_pinned(argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256[argv]
 
 
+@pytest.mark.parametrize(
+    "fmt, out", [("csv", "a,n,c2,c2_decimal,classification\n"), ("json", "[]\n"), ("table", "")]
+)
+def test_scan_at_zero_skips_every_modulus(fmt, out):
+    # every n >= 2 shares a factor with a = 0, so no symbol is needed
+    assert run_cli(["scan", "--a", "0", "--max-n", "50", "--format", fmt]) == (
+        0,
+        out,
+        "skipped 49 moduli sharing a factor with a=0\n",
+    )
+
+
 # sha256 of scan stdout pinned from the release that wrote one row per
 # report.  Under windows of 97 moduli the sieve windows 584..680 and
 # 2621..2717 keep no row: empty windows between full ones.
