@@ -61,8 +61,10 @@ _CLASSES = (DIFFERENCE_DOMINANT, BALANCED, SUM_DOMINANT)
 _BOUND_PRIME_LIMIT = 100_000
 _WINDOW = 1 << 13  # moduli per ratio sieve window
 _SIEVE_LIMIT = 2**31  # _ratio_sieve's int32 entries hold every n below it
-# the largest period _symbols tabulates: its 2^15 entries take about 11 ms on a 2-core
-# host, what the kernel (0.8 us a prime) spends on the 3-mod-4 primes of a range to 3 * 10^5
+# the largest period _symbols tabulates.  With a' just under it the table costs
+# density and scan 4-6 ms more than the kernel at each modulus for x <= 2 * 10^4,
+# and saves density 11-14 ms at x = 3.5 * 10^5, where 5 * 10^4 moduli reach the
+# kernel; a table of 2^18 costs 25 ms and still loses there (2-core host)
 _SYMBOL_TABLE_LIMIT = 1 << 16
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
@@ -463,10 +465,9 @@ def density_report(
         return num * scale // den, num * scale * (prime_limit - 1) // (den * prime_limit)
 
     bounds = {floors(lo, 1 << 128), floors(lo + len(ps) + 1, 1 << 128)}
-    if len(bounds) > 1:  # a 12-decimal number between the ends: in practice a bound
-        # equal to one, which needs the p^2 of the largest p to cancel; against
-        # the constant's 63 = 7 * 3^2 the fixed point is exact, so only the tail
-        # (prime_limit - 1)/prime_limit does it, as at a = 1009, prime_limit = 50
+    if len(bounds) > 1:  # the ends straddle a 12-decimal number: by chance once in 2^75
+        # at the default prime_limit, so in practice a bound is that number (at a = 1009,
+        # prime_limit = 50 the rigorous one is 21/25); the exact products settle it
         num = constant.numerator * math.prod(p * p - 1 for p in ps)
         bounds = {floors(num, constant.denominator * math.prod(p * p for p in ps))}
     truncated, rigorous = (Fraction(f, scale) for f in bounds.pop())
