@@ -244,10 +244,8 @@ def _legendre_unchecked(a: int, p: int) -> int:
 
 
 def _sqrt_mod_odd_prime(a: int, p: int) -> int | None:
-    """One square root of a modulo an odd prime p, or None (Tonelli-Shanks)."""
+    """One square root of a unit a modulo an odd prime p, or None (Tonelli-Shanks)."""
     a %= p
-    if a == 0:
-        return 0
     if _legendre_unchecked(a, p) != 1:
         return None
     if p % 4 == 3:

@@ -78,11 +78,6 @@ class EnumerationBudgetError(RuntimeError):
         self.steps = steps
         self.table = table
 
-    def __reduce__(self):
-        # rebuild from the arguments, not from args = (message,), so the
-        # error survives pickling
-        return type(self), (self.tuple_count, self.budget, self.steps, self.table)
-
 
 @dataclass(frozen=True)
 class HyperbolaSpec:
@@ -283,15 +278,12 @@ def signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> ResidueS
 def sum_diff_sets(
     a: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[ResidueSet, ResidueSet]:
-    """Reduced planar sumset and difference set, sharing one enumeration pass."""
-    spec = HyperbolaSpec(2, 2, a, n)
-    count = _checked_tuple_count(spec, budget)
-    smask = np.zeros(n, dtype=bool)
-    dmask = np.zeros(n, dtype=bool)
-    for _, y, x in _blocks(n, [spec.a], (1,), 0, count):
-        smask[(x + y) % n] = True
-        dmask[(x - y) % n] = True
-    return ResidueSet(smask), ResidueSet(dmask)
+    """Reduced planar sumset and difference set: ``signed_sumset`` at m = 2
+    and at m = 1, two passes, each under the budget."""
+    return (
+        signed_sumset(HyperbolaSpec(2, 2, a, n), budget),
+        signed_sumset(HyperbolaSpec(2, 1, a, n), budget),
+    )
 
 
 def _check_table_modulus(n: int) -> None:
@@ -299,15 +291,10 @@ def _check_table_modulus(n: int) -> None:
         raise ValueError(f"n must be in [2, {_TABLE_LIMIT}]")
 
 
-def _table_blocks(
-    n: int, a: np.ndarray | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(units a, masks) for consecutive blocks of the units a (default every
-    unit, ascending): masks[0, i] is the sumset of a[i] and masks[1, i] its
-    difference set."""
-    units, _ = _unit_tables(n)
-    phi = len(units)
-    a = units if a is None else a
+def _table_blocks(n: int, a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(units a, masks) for consecutive blocks of the units a: masks[0, i]
+    is the sumset of a[i] and masks[1, i] its difference set."""
+    phi = len(_unit_tables(n)[0])
     for start, y, x in _blocks(n, a, (1,), 0, len(a) * phi):
         rows = len(y) // phi
         # sums x + y lie in [0, 2n) and shifted differences x - y + n in
@@ -333,27 +320,21 @@ def sum_diff_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_table_modulus(n)
     tables = np.zeros((2, n, n), dtype=bool)
-    for a, masks in _table_blocks(n):
+    for a, masks in _table_blocks(n, _unit_tables(n)[0]):
         tables[:, a] = masks
     return tables[0], tables[1]
 
 
 def sum_diff_cardinalities(
-    n: int, a: np.ndarray | list[int] | None = None
+    n: int, a: np.ndarray | list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|sumset| and |difference set| for every unit a (0 at non-units), or,
-    given an array of units a, at each of them in order, forming only their
-    rows.
+    """|sumset| and |difference set| at each unit of the array a, in order,
+    each a taken modulo n; only their rows are formed.
 
     The rows are counted a block at a time and no table is kept, so memory
-    is O(n).
+    past the two count arrays is O(n).
     """
     _check_table_modulus(n)
-    if a is None:
-        counts = np.zeros((2, n), dtype=np.int64)
-        for rows, masks in _table_blocks(n):
-            counts[:, rows] = masks.sum(axis=2)
-        return counts[0], counts[1]
     a = np.asarray(a, dtype=np.int64) % n
     if np.any(np.gcd(a, n) != 1):
         raise ValueError(f"every a must be a unit modulo {n}")

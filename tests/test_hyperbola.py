@@ -186,6 +186,23 @@ def test_signed_sumset_matches_naive():
         assert set(signed_sumset(spec)) == naive_signed_sumset(spec), spec
 
 
+def test_fibre_over_several_blocks():
+    # phi(n) > _BLOCK: one fibre fills several kernel calls, and every call
+    # after the first starts partway through it (n = 16411 is prime and
+    # takes int32 tables, n = 50000 int64 ones)
+    for a, n in ((3, 16411), (7, 50000)):
+        units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+        assert len(units) > _BLOCK
+        points = [(x, a * pow(x, -1, n) % n) for x in units]
+        assert list(enumerate_points(HyperbolaSpec(2, 2, a, n))) == points
+        sums = sorted({(x + y) % n for x, y in points})
+        diffs = sorted({(x - y) % n for x, y in points})
+        s, d = sum_diff_sets(a, n)
+        assert (s.values(), d.values()) == (sums, diffs)
+        assert signed_sumset(HyperbolaSpec(2, 2, a, n)).values() == sums
+        assert signed_sumset(HyperbolaSpec(2, 1, a, n)).values() == diffs
+
+
 def test_signed_sumset_budget():
     with pytest.raises(EnumerationBudgetError):
         signed_sumset(HyperbolaSpec(2, 2, 1, 9), budget=5)
@@ -317,7 +334,9 @@ def test_tables_match_per_a_oracle():
     # 1031 has 1030 units, 15 rows to a block: the last block holds 10
     for n in [2, 3, 5, 8, 12, 45, 60, 1031]:
         s_tab, d_tab = sum_diff_tables(n)
-        s_card, d_card = sum_diff_cardinalities(n)
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        s_card, d_card = sum_diff_cardinalities(n, units)
+        cards = dict(zip(units, zip(s_card.tolist(), d_card.tolist())))
         for a in range(n):
             if math.gcd(a, n) != 1:
                 assert not s_tab[a].any() and not d_tab[a].any()
@@ -325,28 +344,29 @@ def test_tables_match_per_a_oracle():
             s, d = sum_diff_sets(a, n)
             assert np.flatnonzero(s_tab[a]).tolist() == s.values()
             assert np.flatnonzero(d_tab[a]).tolist() == d.values()
-            assert int(s_card[a]) == len(s) and int(d_card[a]) == len(d)
+            assert cards[a] == (len(s), len(d))
 
 
 def test_cardinalities_at_given_rows():
-    # only the rows asked for are formed; they equal the full table's rows,
-    # in the order given, and a is taken modulo n
+    # only the rows asked for are formed; they equal the per-a oracle's
+    # counts, in the order given, and a is taken modulo n
     rng = random.Random(3)
     for n in (301, 1024, 2310, 4999):
-        sums, diffs = sum_diff_cardinalities(n)
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
         rows = rng.sample(units, 20)
+        sets = [sum_diff_sets(a, n) for a in rows]
+        sums, diffs = [len(s) for s, _ in sets], [len(d) for _, d in sets]
         s, d = sum_diff_cardinalities(n, np.array(rows))
-        assert s.tolist() == sums[rows].tolist() and d.tolist() == diffs[rows].tolist()
+        assert s.tolist() == sums and d.tolist() == diffs
         s, d = sum_diff_cardinalities(n, [a - n for a in rows])
-        assert s.tolist() == sums[rows].tolist() and d.tolist() == diffs[rows].tolist()
+        assert s.tolist() == sums and d.tolist() == diffs
     assert [c.tolist() for c in sum_diff_cardinalities(7, [])] == [[], []]
     with pytest.raises(ValueError, match="unit"):
         sum_diff_cardinalities(12, [1, 4])
 
 
 def test_tables_reject_out_of_range():
-    for build in (sum_diff_tables, sum_diff_cardinalities):
+    for build in (sum_diff_tables, lambda n: sum_diff_cardinalities(n, [1])):
         with pytest.raises(ValueError):
             build(1)
         with pytest.raises(ValueError):
@@ -355,9 +375,10 @@ def test_tables_reject_out_of_range():
 
 def test_cardinalities_memory_is_linear():
     # one n x n bool table alone is 64 MB at n = 8192
+    units = np.arange(1, 8192, 2)
     tracemalloc.start()
     try:
-        sum_diff_cardinalities(8192)
+        sum_diff_cardinalities(8192, units)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
