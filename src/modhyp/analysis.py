@@ -17,9 +17,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _TRIAL_PRIMES, _jacobi, _legendre_unchecked, _units, factorize, is_prime
-from .arith import primes_up_to, sqrt_mod_pp
-from .cardinality import _card_S2_pp_array, ratio_c2, ratio_c2_pp
+from .arith import _TRIAL_PRIMES, _jacobi, _units, factorize, is_prime, primes_up_to, sqrt_mod_pp
+from .cardinality import _card_S2_pp_array, ratio_c2_pp
 from .hyperbola import (
     _TABLE_LIMIT,
     DEFAULT_BUDGET,
@@ -35,7 +34,6 @@ __all__ = [
     "CoverageReport",
     "DensityReport",
     "DIFFERENCE_DOMINANT",
-    "DominanceReport",
     "DominanceWindow",
     "PrimorialReport",
     "PrimorialRow",
@@ -44,7 +42,6 @@ __all__ = [
     "coverage_check",
     "density_report",
     "dominance_class_constant",
-    "dominance_report",
     "dominance_scan",
     "primes_3_mod_4",
     "primorial_series",
@@ -69,24 +66,6 @@ _SYMBOL_TABLE_LIMIT = 1 << 16
 _SMALL_SWEEP_ALL_A = 300  # below this n the verify sweep checks every unit a
 _SWEEP_SAMPLES = 20
 _SWEEP_SEED = 0x5EED
-
-
-class DominanceReport(NamedTuple):
-    """Classification of one modulus by dominance_report, an immutable named
-    tuple.  Its factor_breakdown, the ratio at each prime power of n, is
-    derived on demand.  The range study, dominance_scan, yields
-    DominanceWindows instead."""
-
-    a: int
-    n: int
-    c2: Fraction
-    classification: str
-
-    @property
-    def factor_breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
-        return tuple(
-            (p, t, ratio_c2_pp(self.a, p, t)) for p, t in factorize(self.n).factors
-        )
 
 
 class DominanceWindow(NamedTuple):
@@ -363,12 +342,6 @@ def _above(threshold: Fraction, x: int) -> Callable[[np.ndarray, np.ndarray], np
     return mask
 
 
-def dominance_report(a: int, n: int) -> DominanceReport:
-    """Classify one modulus from closed forms."""
-    c2 = ratio_c2(a, n).value
-    return DominanceReport(a, n, c2, classify(c2))
-
-
 def dominance_scan(
     a: int,
     n_max: int,
@@ -523,6 +496,7 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     c_first = Fraction(1)
     c_power = Fraction(1)
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 = none, before Python 3.10.7
+    too_long = 10**limit if limit else math.inf  # the least integer too long to print
     for k, p in enumerate(primes_3_mod_4(k_max), start=1):
         if a % p == 0:
             raise ValueError(f"a = {a} shares the prime factor {p} with the primorial")
@@ -533,7 +507,7 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
         c_first *= ratio_c2_pp(a, p, 1)
         c_power *= ratio_c2_pp(a, p, t)
         largest = max(primorial, *c_first.as_integer_ratio(), *c_power.as_integer_ratio())
-        if limit and largest >= 10**limit:
+        if largest >= too_long:
             raise ValueError(
                 f"row k = {k} holds an integer of over {limit} digits, too long to print"
             )
@@ -578,17 +552,14 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
         raise ValueError(f"modulus {p}^{t} has over {limit} digits, too long to print")
     q = p**t
     a_q, b_q = a % q, b % q
-    a_p, b_p = a % p, b % p
     for y in range(1, p):
-        value = (-4 * a_p * y**3 + b_p * b_p * y * y - 2 * b_p * y + 1) % p
-        if value and _legendre_unchecked(value, p) == 1:
+        disc = (-4 * a_q * y**3 + b_q * b_q * y * y - 2 * b_q * y + 1) % q
+        if disc % p and (roots := sqrt_mod_pp(disc, p, t)):
             break
     else:  # pragma: no cover - impossible for p > 7
         raise RuntimeError(f"no usable parameter found modulo {p}")
-    disc_num = (-4 * a_q * y**3 + b_q * b_q * y * y - 2 * b_q * y + 1) % q
-    root = sqrt_mod_pp(disc_num, p, t)[0]
     y_inv = pow(y, -1, q)
-    s = root * y_inv % q
+    s = roots[0] * y_inv % q
     x1 = (b_q - y_inv + s) * pow(2, -1, q) % q
     x2 = y_inv
     x3 = (b_q - x1 - x2) % q

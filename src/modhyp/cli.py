@@ -26,15 +26,16 @@ from .analysis import (
     DominanceWindow,
     PrimorialReport,
     _check_sieve_range,
+    classify,
     coverage_check,
     density_report,
-    dominance_report,
     dominance_scan,
     primorial_series,
     solve_sum_product,
     verify_sweep,
 )
-from .cardinality import CardinalityReport, card_signed_sumset
+from .arith import factorize
+from .cardinality import CardinalityReport, card_signed_sumset, ratio_c2, ratio_c2_pp
 from .hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points, signed_sumset
 
 __all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
@@ -71,6 +72,7 @@ _HEADERS = {
     "coverage": ("a", "n", "d", "m", "covered", "guaranteed", "missing_count", "missing"),
     "triple": ("b", "a", "p", "t", "modulus", "x1", "x2", "x3"),
 }
+_HEADERS["ratio"] = _HEADERS["dominance"]
 
 
 def _rat(f: Fraction) -> str:
@@ -81,8 +83,8 @@ def _dec(f: Fraction) -> str:
     return f"{f.numerator / f.denominator:.6f}"  # = float(f), minus numbers.Rational's detour
 
 
-# Each builder turns one report into its rows, each row a tuple of values
-# in the column order of _HEADERS for its kind.
+# Each kind has two builders: one turns a report into its rows, tuples in the
+# column order of _HEADERS for its kind, the other into its table's lines.
 
 
 def _dominance_rows(w: DominanceWindow) -> list[tuple]:
@@ -93,12 +95,27 @@ def _dominance_rows(w: DominanceWindow) -> list[tuple]:
     ]
 
 
+def _dominance_table(w: DominanceWindow) -> str:
+    return "".join([f"n={n} c2={rat} ({dec}) {c}\n" for _, n, rat, dec, c in _dominance_rows(w)])
+
+
+def _ratio_table(w: DominanceWindow) -> str:
+    [(a, n, rat, dec, c)] = _dominance_rows(w)  # one row, then its prime powers' ratios
+    powers = [f"  {p}^{t}: {_rat(ratio_c2_pp(w.a, p, t))}\n" for p, t in factorize(n).factors]
+    return f"c2({a}; {n}) = {rat} ({dec})  {c}\n" + "".join(powers)
+
+
 def _card_rows(rep: CardinalityReport) -> list[tuple]:
     s = rep.spec
     return [
         (s.a, s.n, s.d, s.m, fc.p, fc.t, fc.count, fc.method, rep.total)
         for fc in rep.per_factor
     ]
+
+
+def _card_table(rep: CardinalityReport) -> str:
+    lines = [f"{p}^{t}: {count}  [{method}]\n" for *_, p, t, count, method, _ in _card_rows(rep)]
+    return "".join(lines) + f"total {rep.total}\n"
 
 
 def _density_rows(r: DensityReport) -> list[tuple]:
@@ -121,6 +138,16 @@ def _density_rows(r: DensityReport) -> list[tuple]:
     ]
 
 
+def _density_table(r: DensityReport) -> str:
+    return (
+        f"eligible {r.eligible_count}, above threshold {r.dominant_count}, "
+        f"empirical density {_rat(r.empirical_density)} ({_dec(r.empirical_density)})\n"
+        f"class constant {_rat(r.class_constant)}, truncated bound "
+        f"{_dec(r.bound_truncated)}, rigorous bound {_dec(r.bound_rigorous)} "
+        f"(primes up to {r.prime_limit})\n"
+    )
+
+
 def _primorial_rows(rep: PrimorialReport) -> list[tuple]:
     return [
         (
@@ -136,6 +163,13 @@ def _primorial_rows(rep: PrimorialReport) -> list[tuple]:
         )
         for row in rep.rows
     ]
+
+
+def _primorial_table(rep: PrimorialReport) -> str:
+    return "".join(
+        f"k={k} N={n} c2={first} ({first_dec}) c2^t={power} ({power_dec}) loglog={loglog}\n"
+        for _, _, k, n, first, first_dec, power, power_dec, loglog in _primorial_rows(rep)
+    )
 
 
 def _coverage_rows(r: CoverageReport) -> list[tuple]:
@@ -154,38 +188,56 @@ def _coverage_rows(r: CoverageReport) -> list[tuple]:
     ]
 
 
+def _coverage_table(r: CoverageReport) -> str:
+    state = "covered" if r.covered else "NOT covered"
+    missing = "missing: " + " ".join(str(v) for v in r.missing) + "\n" if r.missing else ""
+    return f"{state}; guaranteed={'yes' if r.guaranteed else 'no'}\n{missing}"
+
+
 def _triple_rows(r: tuple[int, int, int, int, tuple[int, int, int]]) -> list[tuple]:
     b, a, p, t, triple = r
     return [(b, a, p, t, p**t, *triple)]
 
 
+def _triple_table(r: tuple[int, int, int, int, tuple[int, int, int]]) -> str:
+    [(*_, q, x1, x2, x3)] = _triple_rows(r)
+    checks = f"sum={(x1 + x2 + x3) % q} product={x1 * x2 * x3 % q}\n"
+    return f"x1={x1} x2={x2} x3={x3} (mod {q})\n" + checks
+
+
 _BUILDERS = {
-    "dominance": _dominance_rows,
-    "card": _card_rows,
-    "density": _density_rows,
-    "primorial": _primorial_rows,
-    "coverage": _coverage_rows,
-    "triple": _triple_rows,
+    "dominance": (_dominance_rows, _dominance_table),
+    "ratio": (_dominance_rows, _ratio_table),
+    "card": (_card_rows, _card_table),
+    "density": (_density_rows, _density_table),
+    "primorial": (_primorial_rows, _primorial_table),
+    "coverage": (_coverage_rows, _coverage_table),
+    "triple": (_triple_rows, _triple_table),
 }
 
 
 def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
-    """Stream a homogeneous sequence of reports to out as CSV or a JSON array.
+    """Stream a homogeneous sequence of reports to out as a table, CSV or a JSON array.
 
-    Reports are consumed one at a time and the rows of each are written in
+    Reports are consumed one at a time and the lines of each are written in
     one out.write as soon as they are built, so a generator of reports is
-    never held in memory.  CSV starts with the fixed header for the report
-    kind.  JSON is an array of objects keyed by that header, every value a string,
-    byte-identical to json.dumps of the list of those objects with
-    indent=2, plus a newline.  An empty stream gives a header-only CSV (or
-    "[]").  Row order follows input order, so output is byte-deterministic.
-    A "dominance" report is a DominanceWindow, of any number of rows, none
-    included.  A "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of
-    a solve_sum_product call.
+    never held in memory.  A table has no header.  CSV starts with the fixed
+    header for the report kind.  JSON is an array of objects keyed by that
+    header, every value a string, byte-identical to json.dumps of the list
+    of those objects with indent=2, plus a newline.  An empty stream gives a
+    header-only CSV (or "[]").  Row order follows input order, so output is
+    byte-deterministic.  A "dominance" report is a DominanceWindow, of any
+    number of rows, none included; a "ratio" report is a one-row
+    DominanceWindow, whose table adds the ratio at each prime power.  A
+    "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of a
+    solve_sum_product call.
     """
     header = _HEADERS[kind]
-    build = _BUILDERS[kind]
-    if fmt == "csv":
+    build, table = _BUILDERS[kind]
+    if fmt == "table":
+        for rep in reports:
+            out.write(table(rep))
+    elif fmt == "csv":
         # no builder yields a value holding , " \r or \n, so %s needs no
         # quoting and gives csv.writer's bytes; one write per report
         line = ",".join(["%s"] * len(header)) + "\n"
@@ -397,29 +449,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_card(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else args.d
-    spec = HyperbolaSpec(args.d, m, args.a, args.n)
-    rep = card_signed_sumset(spec, budget=args.budget)
-    if args.format == "table":
-        for fc in rep.per_factor:
-            print(f"{fc.p}^{fc.t}: {fc.count}  [{fc.method}]")
-        print(f"total {rep.total}")
-    else:
-        write_reports([rep], args.format, "card", sys.stdout)
+    rep = card_signed_sumset(HyperbolaSpec(args.d, m, args.a, args.n), budget=args.budget)
+    write_reports([rep], args.format, "card", sys.stdout)
     return 0
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    rep = dominance_report(args.a, args.n)
-    a, n, c2, classification = rep
-    # the report as a one-row window, formatted as a scan row is
-    window = DominanceWindow(a, [n], [c2.numerator], [c2.denominator], [classification])
-    if args.format == "table":
-        _, _, rat, dec, _ = _dominance_rows(window)[0]
-        print(f"c2({a}; {n}) = {rat} ({dec})  {classification}")
-        for p, t, r in rep.factor_breakdown:
-            print(f"  {p}^{t}: {_rat(r)}")
-    else:
-        write_reports([window], args.format, "dominance", sys.stdout)
+    c2 = ratio_c2(args.a, args.n).value
+    row = [args.n], [c2.numerator], [c2.denominator], [classify(c2)]
+    write_reports([DominanceWindow(args.a, *row)], args.format, "ratio", sys.stdout)
     return 0
 
 
@@ -440,71 +478,32 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     _check_sieve_range(args.max_n)  # the sieve runs lazily, after the CSV header
     skipped: list[int] = []
     windows = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
-    if args.format == "table":
-        for window in windows:
-            rows = _dominance_rows(window)
-            lines = [f"n={n} c2={rat} ({dec}) {c}\n" for _, n, rat, dec, c in rows]
-            sys.stdout.write("".join(lines))
-    else:
-        write_reports(windows, args.format, "dominance", sys.stdout)
+    write_reports(windows, args.format, "dominance", sys.stdout)
     print(f"skipped {sum(skipped)} moduli sharing a factor with a={args.a}", file=sys.stderr)
     return 0
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
     rep = density_report(args.a, args.max_n, threshold=args.L)
-    if args.format == "table":
-        print(
-            f"eligible {rep.eligible_count}, above threshold {rep.dominant_count}, "
-            f"empirical density {_rat(rep.empirical_density)} ({_dec(rep.empirical_density)})"
-        )
-        print(
-            f"class constant {_rat(rep.class_constant)}, truncated bound "
-            f"{_dec(rep.bound_truncated)}, rigorous bound {_dec(rep.bound_rigorous)} "
-            f"(primes up to {rep.prime_limit})"
-        )
-    else:
-        write_reports([rep], args.format, "density", sys.stdout)
+    write_reports([rep], args.format, "density", sys.stdout)
     return 0
 
 
 def _cmd_primorial(args: argparse.Namespace) -> int:
     rep = primorial_series(args.a, args.k_max, t=args.t)
-    if args.format == "table":
-        for row in rep.rows:
-            print(
-                f"k={row.k} N={row.primorial} c2={_rat(row.ratio_first_power)} "
-                f"({_dec(row.ratio_first_power)}) c2^t={_rat(row.ratio_power_t)} "
-                f"({_dec(row.ratio_power_t)}) loglog={row.loglog:.6f}"
-            )
-    else:
-        write_reports([rep], args.format, "primorial", sys.stdout)
+    write_reports([rep], args.format, "primorial", sys.stdout)
     return 0
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
-    spec = HyperbolaSpec(args.d, args.m, args.a, args.n)
-    rep = coverage_check(spec, budget=args.budget)
-    if args.format == "table":
-        state = "covered" if rep.covered else "NOT covered"
-        print(f"{state}; guaranteed={'yes' if rep.guaranteed else 'no'}")
-        if rep.missing:
-            print("missing: " + " ".join(str(v) for v in rep.missing))
-    else:
-        write_reports([rep], args.format, "coverage", sys.stdout)
+    rep = coverage_check(HyperbolaSpec(args.d, args.m, args.a, args.n), budget=args.budget)
+    write_reports([rep], args.format, "coverage", sys.stdout)
     return 0
 
 
 def _cmd_solve3(args: argparse.Namespace) -> int:
-    triple = solve_sum_product(args.b, args.a, args.p, args.t)
-    q = args.p**args.t
-    if args.format == "table":
-        x1, x2, x3 = triple
-        print(f"x1={x1} x2={x2} x3={x3} (mod {q})")
-        print(f"sum={sum(triple) % q} product={x1 * x2 * x3 % q}")
-    else:
-        report = (args.b, args.a, args.p, args.t, triple)
-        write_reports([report], args.format, "triple", sys.stdout)
+    params = args.b, args.a, args.p, args.t
+    write_reports([(*params, solve_sum_product(*params))], args.format, "triple", sys.stdout)
     return 0
 
 

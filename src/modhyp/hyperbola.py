@@ -153,7 +153,7 @@ class ResidueSet:
         return f"ResidueSet(mod {self.modulus}, {len(self)} members)"
 
 
-@lru_cache(maxsize=192)
+@lru_cache(maxsize=1)  # the last modulus only: no table outlives the call charged for it
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned (units, inverses) arrays for modulus n; read-only.
 

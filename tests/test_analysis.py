@@ -20,14 +20,13 @@ from modhyp.analysis import (
     coverage_check,
     density_report,
     dominance_class_constant,
-    dominance_report,
     dominance_scan,
     primes_3_mod_4,
     primorial_series,
     solve_sum_product,
 )
 from modhyp.arith import _jacobi, factorize, is_prime, legendre, primes_up_to
-from modhyp.cardinality import card_S2_pp, ratio_c2
+from modhyp.cardinality import card_S2_pp, ratio_c2, ratio_c2_pp
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
 
@@ -45,15 +44,21 @@ def test_classify():
         assert classify(c2) == expected, c2
 
 
+def _breakdown(a, n):
+    """The ratio at each prime power of n, as the ratio command's table lists it."""
+    return tuple((p, t, ratio_c2_pp(a, p, t)) for p, t in factorize(n).factors)
+
+
 def test_dominance_report_examples():
-    rep = dominance_report(11, 441)
-    assert rep.c2 == Fraction(8, 7)
-    assert rep.classification == SUM_DOMINANT
-    assert rep.factor_breakdown == (
+    # what the ratio command reports of one modulus: c2, its class, its breakdown
+    c2 = ratio_c2(11, 441).value
+    assert c2 == Fraction(8, 7)
+    assert classify(c2) == SUM_DOMINANT
+    assert _breakdown(11, 441) == (
         (3, 2, Fraction(3, 2)),
         (7, 2, Fraction(16, 21)),
     )
-    assert dominance_report(2, 625).classification == BALANCED
+    assert classify(ratio_c2(2, 625).value) == BALANCED
 
 
 def _scan_rows(a, x, threshold=None, skipped=None):
@@ -75,26 +80,17 @@ def _scan_rows(a, x, threshold=None, skipped=None):
 
 
 def test_dominance_report_contract():
-    reports = [dominance_report(11, 441), dominance_report(-7, 9000)]
-    # a scan row holds what the report of its modulus does
+    # a scan row holds the ratio and class that one modulus gets on its own
     for a, threshold in ((1019, None), (-7, Fraction(3, 2))):
         rows = _scan_rows(a, 300, threshold)
         assert rows
         for n, c2, classification in rows:
-            assert dominance_report(a, n) == (a, n, c2, classification)
-    for rep in reports:
-        assert type(rep.c2) is Fraction
-        assert rep.c2.denominator > 0 and math.gcd(rep.c2.numerator, rep.c2.denominator) == 1
-        assert rep.c2 == ratio_c2(rep.a, rep.n).value
-        assert rep.classification == classify(rep.c2)
-        assert rep._fields == ("a", "n", "c2", "classification")
-        assert tuple(rep) == (rep.a, rep.n, rep.c2, rep.classification)
-    rep = reports[0]
-    for field in (*rep._fields, "factor_breakdown", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(rep, field, 1)
-    assert rep == (11, 441, Fraction(8, 7), SUM_DOMINANT)
-    assert {rep: 1}[dominance_report(11, 441)] == 1  # hashable, equal by value
+            assert ratio_c2(a, n).value == c2 and classify(c2) == classification, (a, n)
+    for a, n, expected in ((11, 441, (8, 7, SUM_DOMINANT)), (-7, 9000, (3, 1, SUM_DOMINANT))):
+        c2 = ratio_c2(a, n).value
+        assert type(c2) is Fraction
+        assert c2.denominator > 0 and math.gcd(c2.numerator, c2.denominator) == 1
+        assert (c2.numerator, c2.denominator, classify(c2)) == expected
 
 
 def test_study_records_contract():
@@ -251,9 +247,8 @@ def test_scan_factor_breakdown_matches_report():
         for n, c2, classification in _scan_rows(a, 2000):
             if n in wanted:
                 seen.add(n)
-                rep = dominance_report(a, n)
-                assert rep == (a, n, c2, classification)
-                assert math.prod(r for _, _, r in rep.factor_breakdown) == c2
+                assert ratio_c2(a, n).value == c2 and classify(c2) == classification
+                assert math.prod(r for _, _, r in _breakdown(a, n)) == c2
         assert seen == wanted
 
 

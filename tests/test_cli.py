@@ -19,14 +19,14 @@ import modhyp
 import modhyp.analysis as analysis
 from modhyp.analysis import (
     DominanceWindow,
+    classify,
     coverage_check,
     density_report,
-    dominance_report,
     primorial_series,
     solve_sum_product,
 )
 from modhyp.arith import euler_phi, primes_up_to
-from modhyp.cardinality import _card_S2_pp_array, card_S2_pp, card_signed_sumset
+from modhyp.cardinality import _card_S2_pp_array, card_S2_pp, card_signed_sumset, ratio_c2
 from modhyp.cli import _BUILDERS, build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points, sum_diff_cardinalities
 
@@ -41,7 +41,7 @@ def run_cli(argv):
 # ---------------------------------------------------------------- package surface
 
 # every name the package exported before its __all__ was formed from the
-# layers' lists
+# layers' lists, but for DominanceReport and dominance_report, which are gone
 _PACKAGE_NAMES = [
     "BALANCED",
     "CardinalityReport",
@@ -49,7 +49,6 @@ _PACKAGE_NAMES = [
     "DEFAULT_BUDGET",
     "DensityReport",
     "DIFFERENCE_DOMINANT",
-    "DominanceReport",
     "EnumerationBudgetError",
     "FactorCount",
     "HyperbolaSpec",
@@ -66,7 +65,6 @@ _PACKAGE_NAMES = [
     "coverage_check",
     "density_report",
     "dominance_class_constant",
-    "dominance_report",
     "dominance_scan",
     "enumerate_points",
     "euler_phi",
@@ -89,7 +87,8 @@ _PACKAGE_NAMES = [
 
 def test_package_exports_each_layer_surface():
     layers = (modhyp.analysis, modhyp.arith, modhyp.cardinality, modhyp.hyperbola)
-    assert len(_PACKAGE_NAMES) == 41 and set(_PACKAGE_NAMES) <= set(modhyp.__all__)
+    assert len(_PACKAGE_NAMES) == 39 and set(_PACKAGE_NAMES) <= set(modhyp.__all__)
+    assert not {"DominanceReport", "dominance_report"} & set(dir(modhyp))
     assert len(set(modhyp.__all__)) == len(modhyp.__all__)
     assert modhyp.__all__ == [name for layer in layers for name in layer.__all__]
     for layer in layers:
@@ -542,10 +541,10 @@ def test_scan_csv_roundtrip():
     code, out, _ = run_cli(["scan", "--a", "4", "--max-n", "60", "--format", "csv"])
     assert code == 0
     for row in csv.DictReader(io.StringIO(out)):
-        rep = dominance_report(int(row["a"]), int(row["n"]))
-        assert Fraction(row["c2"]) == rep.c2
-        assert row["classification"] == rep.classification
-        assert row["c2_decimal"] == f"{float(rep.c2):.6f}"
+        c2 = ratio_c2(int(row["a"]), int(row["n"])).value
+        assert Fraction(row["c2"]) == c2
+        assert row["classification"] == classify(c2)
+        assert row["c2_decimal"] == f"{float(c2):.6f}"
 
 
 def test_card_csv_roundtrip():
@@ -725,22 +724,27 @@ _REFERENCE_ROWS = {
         }
     ],
 }
+_REFERENCE_ROWS["ratio"] = _REFERENCE_ROWS["dominance"]
+
+
+def _window(a, moduli):
+    ratios = [ratio_c2(a, n).value for n in moduli]
+    return DominanceWindow(
+        a,
+        list(moduli),
+        [c2.numerator for c2 in ratios],
+        [c2.denominator for c2 in ratios],
+        [classify(c2) for c2 in ratios],
+    )
 
 
 def _sample_reports(kind):
     if kind == "dominance":
         # scan windows: three rows, none (every modulus filtered out), two
-        def window(a, moduli):
-            reps = [dominance_report(a, n) for n in moduli]
-            return DominanceWindow(
-                a,
-                list(moduli),
-                [r.c2.numerator for r in reps],
-                [r.c2.denominator for r in reps],
-                [r.classification for r in reps],
-            )
-
-        return [window(11, (2, 25, 441)), window(11, ()), window(3 * 10**40 + 7, (8, 9000))]
+        return [_window(11, (2, 25, 441)), _window(11, ()), _window(3 * 10**40 + 7, (8, 9000))]
+    if kind == "ratio":
+        # one-row windows: a breakdown of two prime powers, of none, of three
+        return [_window(11, (441,)), _window(3, (1,)), _window(3 * 10**40 + 7, (9000,))]
     if kind == "card":
         specs = [HyperbolaSpec(2, 2, 1, 360), HyperbolaSpec(2, 1, 5, 8), HyperbolaSpec(3, 3, 1, 35)]
         return [card_signed_sumset(s) for s in specs]
@@ -761,7 +765,7 @@ def _sample_reports(kind):
 
 @pytest.mark.parametrize("count", [0, 1, 3])
 @pytest.mark.parametrize(
-    "kind", ["dominance", "card", "density", "primorial", "coverage", "triple"]
+    "kind", ["dominance", "ratio", "card", "density", "primorial", "coverage", "triple"]
 )
 def test_write_reports_streams_expected_bytes(kind, count):
     samples = _sample_reports(kind)
@@ -800,13 +804,14 @@ class _CountingIO(io.StringIO):
 
 @pytest.mark.parametrize("kind", list(_BUILDERS))
 def test_write_reports_writes_once_per_report(kind):
-    # the header or the closing bracket, then one write per report, empty or not
+    # the CSV header or the JSON closing bracket, then one write per report,
+    # empty or not; a table has neither
     samples = _sample_reports(kind)
-    for fmt in ("csv", "json"):
+    for fmt, extra in (("table", 0), ("csv", 1), ("json", 1)):
         for count in (0, 1, 3):
             out = _CountingIO()
             write_reports(iter(samples[:count]), fmt, kind, out)
-            assert out.writes == count + 1, (fmt, count)
+            assert out.writes == count + extra, (fmt, count)
 
 
 @pytest.mark.parametrize("kind", list(_BUILDERS))
@@ -814,7 +819,7 @@ def test_built_fields_need_no_csv_quoting(kind):
     # the CSV line template writes each field with %s, unquoted: csv.writer
     # would quote a field holding any of these
     for rep in _sample_reports(kind):
-        for row in _BUILDERS[kind](rep):
+        for row in _BUILDERS[kind][0](rep):
             for v in row:
                 assert not set(str(v)) & set(',"\r\n'), (kind, v)
 

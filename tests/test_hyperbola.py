@@ -259,6 +259,18 @@ def test_unit_tables_inverses():
         assert inv.tolist() == [pow(u, -1, n) for u in units.tolist()], n
 
 
+def test_unit_tables_keep_only_the_last_modulus():
+    # the budget charges each oracle call for its tables: they must not
+    # outlive the call at the next modulus
+    signed_sumset(HyperbolaSpec(3, 2, 1, 101))
+    sum_diff_sets(3, 103)
+    info = _unit_tables.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    hits = info.hits
+    _unit_tables(103)
+    assert _unit_tables.cache_info().hits == hits + 1
+
+
 # ---------------------------------------------------------------- invariants
 
 
