@@ -17,7 +17,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _TRIAL_PRIMES, _jacobi, _units, factorize, is_prime, primes_up_to, sqrt_mod_pp
+from .arith import _TRIAL_PRIMES, _jacobi, _sqrt_mod_pp_unchecked, _units
+from .arith import factorize, is_prime, primes_up_to
 from .cardinality import _card_S2_pp_array, ratio_c2_pp
 from .hyperbola import (
     _TABLE_LIMIT,
@@ -460,9 +461,10 @@ def density_report(
 
 def _too_long(p: int, e: int) -> int:
     """The int-to-str digit limit if p^e (p >= 2, e >= 0) has more digits,
-    else 0.  p^e is formed only within a digit of the limit, so a huge e is cheap."""
+    else 0.  p^e and 10^limit are formed only within a digit of the limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 = none, before Python 3.10.7
-    return limit if limit and (e * math.log10(p) > limit + 1 or p**e >= 10**limit) else 0
+    size = e * math.log10(p)  # log10(p^e), off by far less than a digit
+    return limit if limit and size > limit - 1 and (size > limit + 1 or p**e >= 10**limit) else 0
 
 
 def primes_3_mod_4(k: int) -> Iterator[int]:
@@ -554,7 +556,7 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
     a_q, b_q = a % q, b % q
     for y in range(1, p):
         disc = (-4 * a_q * y**3 + b_q * b_q * y * y - 2 * b_q * y + 1) % q
-        if disc % p and (roots := sqrt_mod_pp(disc, p, t)):
+        if disc % p and (roots := _sqrt_mod_pp_unchecked(disc, p, t)):
             break
     else:  # pragma: no cover - impossible for p > 7
         raise RuntimeError(f"no usable parameter found modulo {p}")

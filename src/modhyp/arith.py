@@ -57,6 +57,7 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = primes_up_to(10_000)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)  # the trial primorial, 14,277 bits
 
 
 @lru_cache(maxsize=1 << 16)
@@ -186,19 +187,26 @@ class PrimeFactorization:
 
 @lru_cache(maxsize=1 << 14)
 def factorize(n: int) -> PrimeFactorization:
-    """Canonical factorization of n >= 1 (trial division, then Brent rho).
-
-    n = 1 yields an empty factor list.
+    """Canonical factorization of n >= 1: a gcd with the trial primorial
+    (Bernstein, 2004), trial division of that gcd, then Miller-Rabin and
+    Brent rho on the rest.  n = 1 yields an empty factor list.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     original = n
     counts: dict[int, int] = {}
+    g = math.gcd(n, _TRIAL_PRODUCT)  # each trial prime that divides n, once
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if p * p > g:
             break
+        if g % p == 0:
+            g //= p
+            counts[p] = 0
+    if g > 1:  # one trial prime is left, above the square root of g
+        counts[g] = 0
+    for p in counts:
         while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
+            counts[p] += 1
             n //= p
     if n > 1:
         stack = [n]
@@ -285,6 +293,11 @@ def sqrt_mod_pp(a: int, p: int, t: int) -> list[int]:
         raise ValueError(f"{p} is not prime")
     if math.gcd(a, p) != 1:
         raise ValueError(f"a = {a} must be coprime to p = {p}")
+    return _sqrt_mod_pp_unchecked(a, p, t)
+
+
+def _sqrt_mod_pp_unchecked(a: int, p: int, t: int) -> list[int]:
+    # sqrt_mod_pp; caller guarantees p is prime, t >= 1 and gcd(a, p) = 1.
     q = p**t
     a %= q
     if p == 2:

@@ -479,6 +479,40 @@ def test_primorial_refusal_stops_at_the_refused_row(monkeypatch):
     assert calls < 10_000
 
 
+@pytest.mark.parametrize(
+    "p, e, expected",
+    [
+        (10, 4299, 0),  # 10^4299 has 4,300 digits, exactly the limit
+        (10, 4300, 4300),
+        (11, 4129, 0),
+        (11, 4130, 4300),
+        (3, 9012, 0),
+        (3, 9013, 4300),
+    ],
+)
+def test_too_long_on_both_sides_of_the_limit(monkeypatch, p, e, expected):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    assert analysis._too_long(p, e) == expected
+    assert (p**e >= 10**4300) == bool(expected)
+
+
+class _Unpowered(int):
+    """An int that refuses to be the base or the exponent of a power."""
+
+    def __pow__(self, e):
+        raise AssertionError("formed a power")
+
+    __rpow__ = __pow__
+
+
+def test_too_long_forms_no_power_a_digit_from_the_limit(monkeypatch):
+    # a 62-bit p^3 has 56 digits and 2^(10^12) over 3 * 10^11: neither they
+    # nor 10^4300 are formed
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: _Unpowered(4300), raising=False)
+    assert analysis._too_long(_Unpowered(2305843009213706309), 3) == 0
+    assert analysis._too_long(_Unpowered(2), 10**12) == 4300
+
+
 # ---------------------------------------------------------------- coverage
 
 
@@ -527,6 +561,22 @@ def test_solver_all_pairs_mod_11():
     for b in range(11):
         for a in range(1, 11):
             _check_triple(solve_sum_product(b, a, 11, 2), b, a, 121, 11)
+
+
+def test_solver_scan_skips_the_primality_check(monkeypatch):
+    # solve_sum_product proves p at its entry; the roots it scans for are
+    # taken without re-proving p at each y
+    calls = 0
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_prime(n)
+
+    monkeypatch.setattr("modhyp.arith.is_prime", counted)
+    p = 2305843009213706309
+    _check_triple(solve_sum_product(123456789, 987654321, p, 3), 123456789, 987654321, p**3, p)
+    assert calls == 0
 
 
 def test_solver_validates():

@@ -280,7 +280,10 @@ def _sympy_factors(n):
 
 
 def _trial_cofactor(n):
-    # what factorize leaves for Miller-Rabin after its trial division
+    # what factorize leaves for Miller-Rabin after its trial division, except
+    # where this loop stops early at p^2 > n: it then leaves 1 or a prime below
+    # 10^8, and factorize strips that prime too if it is below 10^4.  So the two
+    # agree whenever either is at or above psi_13.
     for p in primes_up_to(10_000):
         if p * p > n:
             break
@@ -339,6 +342,26 @@ def test_factorize_carmichael_matches_sympy(n):
     )
 )
 def test_factorize_matches_sympy(n):
+    assert factorize(n).factors == _sympy_factors(n)
+
+
+_TRIAL_PRIMORIAL = math.prod(primes_up_to(10_000))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        9973,  # the largest trial prime, alone and as a power
+        9973**2,
+        9973**5 * 10007,  # and with the first prime past the trial bound
+        10007**2,
+        _TRIAL_PRIMORIAL,  # the gcd stays above p^2 until the last trial prime
+        _TRIAL_PRIMORIAL**2,
+        2**4000 * 9973**300,  # 10^4-smooth, about 2,400 digits
+    ],
+    ids=["9973", "9973^2", "9973^5*10007", "10007^2", "primorial", "primorial^2", "smooth"],
+)
+def test_factorize_trial_division_matches_sympy(n):
     assert factorize(n).factors == _sympy_factors(n)
 
 
