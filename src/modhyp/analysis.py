@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import _TRIAL_PRIMES, _jacobi, _sqrt_mod_pp_unchecked, _units
 from .arith import factorize, is_prime, primes_up_to
-from .cardinality import _card_S2_pp_array, ratio_c2_pp
+from .cardinality import _card_S2_pp_array, _counts
 from .hyperbola import (
     _TABLE_LIMIT,
     DEFAULT_BUDGET,
@@ -240,11 +240,11 @@ def _ratio_sieve(
     of n, so no entry exceeds n.  With eligible set, the moduli divisible
     by a prime p = 3 (mod 4) of Legendre symbol -1 at a are 0 as well.
 
-    Only the primes p <= sqrt(x) go through ratio_c2_pp, once per p^t <= x
-    before the first window.  In each window every multiple of p^t trades
-    the ratio at p^(t-1) for that at p^t (exact division first) and gains
-    a factor p in its smooth part: one scatter for all primes with few
-    multiples per window at t = 1, a strided update per prime power else.
+    Only the primes p <= sqrt(x) read the class counts (_counts), once
+    per p^t <= x before the first window.  In each window every multiple of
+    p^t trades the ratio at p^(t-1) for that at p^t (exact division first)
+    and gains a factor p in its smooth part: one scatter for all primes with
+    few multiples per window at t = 1, a strided update per prime power else.
     What is left of n over its smooth part is 1 or one prime P > sqrt(x)
     to the first power, whose factor _prime_ratios applies to the whole
     window at once.
@@ -260,8 +260,7 @@ def _ratio_sieve(
         else:
             pairs, q = [], p
             while q <= x:
-                r = Fraction(1) if p % 4 == 1 else ratio_c2_pp(a, p, len(pairs) + 1)
-                pairs.append((r.numerator, r.denominator))
+                pairs.append(Fraction(*_counts(a, p, len(pairs) + 1)).as_integer_ratio())
                 q *= p
         if p < dense:
             strided.append((p, None, _column(pairs[0], p)))
@@ -497,19 +496,17 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
     primorial = 1
     c_first = Fraction(1)
     c_power = Fraction(1)
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 = none, before Python 3.10.7
-    too_long = 10**limit if limit else math.inf  # the least integer too long to print
     for k, p in enumerate(primes_3_mod_4(k_max), start=1):
         if a % p == 0:
             raise ValueError(f"a = {a} shares the prime factor {p} with the primorial")
         # row 1's ratio at 3^t has the denominator 3^(t-1): refuse it unformed
-        if k == 1 and _too_long(p, t - 1):
+        if k == 1 and (limit := _too_long(p, t - 1)):
             raise ValueError(f"row k = 1 holds an integer of over {limit} digits, too long to print")
         primorial *= p
-        c_first *= ratio_c2_pp(a, p, 1)
-        c_power *= ratio_c2_pp(a, p, t)
+        c_first *= Fraction(*_counts(a, p, 1))
+        c_power *= Fraction(*_counts(a, p, t))
         largest = max(primorial, *c_first.as_integer_ratio(), *c_power.as_integer_ratio())
-        if largest >= too_long:
+        if limit := _too_long(largest, 1):
             raise ValueError(
                 f"row k = {k} holds an integer of over {limit} digits, too long to print"
             )

@@ -5,9 +5,9 @@ the exact sum/difference dominance ratio.
 Only the sumset has a closed form: y -> -y maps the hyperbola of a onto
 that of -a, so the difference set at a is the sumset at -a and its count is
 card_S2_pp(-a, p, t).  Criteria 01 and 03 check this against the
-enumeration oracle, which does not use the identity.  At odd p the sumset
-count depends only on the Legendre symbol of a; p mod 4 enters only
-through -a.
+enumeration oracle, which does not use the identity.  The count depends
+on a only through its class (_count), a mod 8 at p = 2 and the Legendre
+symbol at odd p; callers that hold a proven prime read it by _counts.
 
 Every count is an exact integer and every ratio an exact rational, so the
 dominance boundary at ratio 1 is decided without any rounding.
@@ -98,28 +98,33 @@ def _exact_div(num: int, den: int, where: str) -> int:
     return num // den
 
 
-def _p2_count(a: int, t: int) -> int:
-    if t <= 2:
-        return 1
-    if t == 3:
-        return 2 if a % 4 == 1 else 1
-    if t == 4:
-        return 2
-    r = a % 8
-    if r == 1:
-        return _exact_div((1 << (t - 4)) + (-1) ** (t - 1) + 9, 3, f"p=2, t={t}")
-    return 1 << (t - 3) if r in (3, 7) else 1 << (t - 4)
-
-
-def _odd_count(p: int, t: int, square: bool) -> int:
-    # the sumset count at odd p^t for an a whose Legendre symbol is +1
-    # exactly when square: s1 + s2, where s1 counts the k with k^2 - a a
-    # square coprime to p and s2 those with k^2 - a a square divisible by p
+def _count(p: int, t: int, cls: int) -> int:
+    # the sumset count at p^t of the units a of class cls: a mod 8 at p = 2
+    # (stated for t <= 4), else the Legendre symbol, and the count s1 + s2:
+    # the k with k^2 - a a square coprime to p (s1) or divisible by p (s2)
+    if p == 2:
+        if t <= 2:
+            return 1
+        if t == 3:
+            return 2 if cls % 4 == 1 else 1
+        if t == 4:
+            return 2
+        if cls == 1:
+            return _exact_div((1 << (t - 4)) + (-1) ** (t - 1) + 9, 3, f"p=2, t={t}")
+        return 1 << (t - 3) if cls in (3, 7) else 1 << (t - 4)
     pt1 = p ** (t - 1)
-    if not square:
+    if cls < 0:
         return (p - 1) * pt1 // 2  # s2 = 0
     num = 2 * pt1 + 3 * (p + 1) + (-1) ** (t - 1) * (p - 1)
     return (p - 3) * pt1 // 2 + _exact_div(num, 2 * (p + 1), f"p={p}, t={t}")
+
+
+def _counts(a: int, p: int, t: int) -> tuple[int, int]:
+    # the sumset and difference set counts at p^t of a unit a at a proven prime p
+    if p == 2:
+        return _count(2, t, a % 8), _count(2, t, -a % 8)
+    e = _legendre_unchecked(a, p)  # Euler's criterion; (-a/p) = (a/p) iff p = 1 (mod 4)
+    return _count(p, t, e), _count(p, t, e if p % 4 == 1 else -e)
 
 
 def card_S2_pp(a: int, p: int, t: int) -> int:
@@ -127,9 +132,8 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
 
     The difference set at a is the sumset at -a (y -> -y maps one hyperbola
     onto the other), so its count is card_S2_pp(-a, p, t); criteria 01 and
-    03 check both against the enumeration oracle.  p = 2 splits on a mod 8
-    (with the stated small-power values for t <= 4); odd p depends only on
-    the Legendre symbol of a, so p mod 4 enters only through -a.
+    03 check both against the enumeration oracle.  The count is that of the
+    class of a (_count): a mod 8 at p = 2, the Legendre symbol at odd p.
     Divisibility of each formula is checked, so a non-integral branch value
     can never escape.
     """
@@ -139,9 +143,7 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
         raise ValueError(f"{p} is not prime")
     if math.gcd(a, p) != 1:
         raise ValueError(f"a = {a} must be a unit at p = {p}")
-    if p == 2:
-        return _p2_count(a, t)
-    return _odd_count(p, t, _legendre_unchecked(a, p) == 1)
+    return _counts(a, p, t)[0]
 
 
 def _card_S2_pp_array(a: np.ndarray, p: int, t: int) -> np.ndarray:
@@ -149,10 +151,10 @@ def _card_S2_pp_array(a: np.ndarray, p: int, t: int) -> np.ndarray:
     prime p <= 8192.  The class of a, a mod 8 at p = 2 or whether a is a
     square mod p at odd p, indexes the counts of the classes."""
     if p == 2:
-        return np.array([_p2_count(r, t) for r in range(8)], dtype=np.int64)[a % 8]
+        return np.array([_count(2, t, r) for r in range(8)], dtype=np.int64)[a % 8]
     square = np.zeros(p, dtype=bool)
     square[np.arange(1, p) ** 2 % p] = True
-    return np.where(square[a % p], _odd_count(p, t, True), _odd_count(p, t, False))
+    return np.where(square[a % p], _count(p, t, 1), _count(p, t, -1))
 
 
 def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CardinalityReport:
@@ -170,7 +172,6 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
     """
     done: list[FactorCount] = []
     blocked: list[tuple[int, int]] = []
-    signed_a = -spec.a if spec.m == 1 else spec.a
     total = 1
     for p, t in factorize(spec.n).factors:
         if spec.d == 2:
@@ -178,7 +179,7 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
                 method = METHOD_SMALL_POWER if t <= 4 else METHOD_CLOSED_FORM_P2
             else:
                 method = METHOD_CLOSED_FORM_ODD
-            count = card_S2_pp(signed_a, p, t)
+            count = _counts(spec.a, p, t)[spec.m == 1]
         elif p > 7:
             count, method = p**t, METHOD_FULL_COVERAGE
         else:
@@ -213,6 +214,7 @@ def ratio_c2(a: int, n: int) -> RatioValue:
         raise ValueError(f"a = {a} must be coprime to n = {n}")
     num = den = 1
     for p, t in factorize(n).factors:
-        num *= card_S2_pp(a, p, t)
-        den *= card_S2_pp(-a, p, t)
+        s, d = _counts(a, p, t)
+        num *= s
+        den *= d
     return RatioValue(num, den, Fraction(num, den))

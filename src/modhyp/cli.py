@@ -35,7 +35,7 @@ from .analysis import (
     verify_sweep,
 )
 from .arith import factorize
-from .cardinality import CardinalityReport, card_signed_sumset, ratio_c2, ratio_c2_pp
+from .cardinality import CardinalityReport, _counts, card_signed_sumset, ratio_c2
 from .hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points, signed_sumset
 
 __all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
@@ -101,7 +101,7 @@ def _dominance_table(w: DominanceWindow) -> str:
 
 def _ratio_table(w: DominanceWindow) -> str:
     [(a, n, rat, dec, c)] = _dominance_rows(w)  # one row, then its prime powers' ratios
-    powers = [f"  {p}^{t}: {_rat(ratio_c2_pp(w.a, p, t))}\n" for p, t in factorize(n).factors]
+    powers = [f"  {p}^{t}: {_rat(Fraction(*_counts(w.a, p, t)))}\n" for p, t in factorize(n).factors]
     return f"c2({a}; {n}) = {rat} ({dec})  {c}\n" + "".join(powers)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import modhyp.analysis as analysis
+import modhyp.cardinality as cardinality
 from modhyp.analysis import (
     BALANCED,
     DIFFERENCE_DOMINANT,
@@ -207,6 +208,23 @@ def test_prime_ratios_match_closed_forms():
                 else:
                     r = Fraction(card_S2_pp(a, p, 1), card_S2_pp(-a, p, 1))
                     assert (s, d) == (r.numerator, r.denominator), (a, p)
+
+
+def test_ratio_sieve_proves_no_prime_again(monkeypatch):
+    # the sieve's small primes come from its own prime sieve: their powers'
+    # ratios are read from the class counts, never through the checked
+    # ratio_c2_pp, card_S2_pp or is_prime
+    scan = list(dominance_scan(11, 5000))
+    density = density_report(4, 5000)
+
+    def refuse(*args):
+        raise AssertionError("proved a prime of the sieve again")
+
+    monkeypatch.setattr(analysis, "ratio_c2_pp", refuse, raising=False)
+    for name in ("ratio_c2_pp", "card_S2_pp", "is_prime"):
+        monkeypatch.setattr(cardinality, name, refuse)
+    assert list(dominance_scan(11, 5000)) == scan
+    assert density_report(4, 5000) == density
 
 
 @pytest.mark.parametrize("core", (16383, 16385))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modhyp.arith import euler_phi, primes_up_to
+import modhyp.cardinality as cardinality
+from modhyp.arith import euler_phi, factorize, legendre, primes_up_to
 from modhyp.cardinality import (
     METHOD_CLOSED_FORM_ODD,
     METHOD_CLOSED_FORM_P2,
@@ -77,6 +78,28 @@ def test_card_matches_oracle_prime_powers():
         for a, osum, odiff in zip(units, sums.tolist(), diffs.tolist()):
             assert card_S2_pp(a, p, t) == osum, (a, p, t)
             assert card_S2_pp(-a, p, t) == odiff, (a, p, t)
+
+
+def _class_representatives():
+    # one unit per class of the closed forms: the four odd residues mod 8 at
+    # p = 2, and 1 and the least non-residue at odd p
+    for t in (13, 16, 18, 20):
+        for a in (1, 3, 5, 7):
+            yield a, 2, t
+    for p, ts in ((3, (10, 11, 12)), (5, (6, 7, 8)), (7, (5, 6, 7)), (11, (3, 4, 5))):
+        non_residue = next(r for r in range(2, p) if legendre(r, p) == -1)
+        for t in ts:
+            for a in (1, non_residue):
+                yield a, p, t
+
+
+@pytest.mark.parametrize("a, p, t", list(_class_representatives()))
+def test_card_matches_oracle_per_class_past_the_table_limit(a, p, t):
+    # the single-a oracle reaches prime powers far past the 4096 of
+    # criterion 01, where every class's t-dependence is checked once
+    q = p**t
+    assert len(signed_sumset(HyperbolaSpec(2, 2, a, q))) == card_S2_pp(a, p, t)
+    assert len(signed_sumset(HyperbolaSpec(2, 1, a, q))) == card_S2_pp(-a, p, t)
 
 
 def test_card_array_matches_per_a():
@@ -206,6 +229,26 @@ def test_report_records_contract():
             record.extra = 0
     num, den, value = ratio_c2(11, 441)
     assert value == Fraction(num, den) == Fraction(8, 7)
+
+
+def test_proven_factorizations_are_not_proven_again(monkeypatch):
+    # ratio_c2 and the planar card_signed_sumset hold the factorization of
+    # n, whose primes factorize proved: neither calls is_prime or card_S2_pp
+    n = 2**9 * 3**7 * 5**2 * 7**5 * 19**3 * (2**61 - 1)
+    factorize(n)
+    expected = {
+        a: (ratio_c2(a, n), [card_signed_sumset(HyperbolaSpec(2, m, a, n)) for m in (1, 2)])
+        for a in (11, -13)
+    }
+
+    def refuse(*args):
+        raise AssertionError("proved a prime of a proven factorization again")
+
+    monkeypatch.setattr(cardinality, "is_prime", refuse)
+    monkeypatch.setattr(cardinality, "card_S2_pp", refuse)
+    for a, (ratio, reports) in expected.items():
+        assert ratio_c2(a, n) == ratio
+        assert [card_signed_sumset(HyperbolaSpec(2, m, a, n)) for m in (1, 2)] == reports
 
 
 def test_factor_product_order_invariant():
