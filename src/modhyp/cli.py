@@ -17,8 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .analysis import (
     CoverageReport,
@@ -34,7 +33,7 @@ from .analysis import (
     solve_sum_product,
     verify_sweep,
 )
-from .arith import factorize
+from .arith import euler_phi, factorize
 from .cardinality import CardinalityReport, _counts, card_signed_sumset, ratio_c2
 from .hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points, signed_sumset
 
@@ -261,6 +260,36 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
         raise ValueError(f"unsupported report format {fmt!r}")
 
 
+def _write_joined(pieces: Iterable[str], out: TextIO, start="", sep="", end="") -> None:
+    """Write start + sep.join(pieces) + end to out, 4096 pieces per write, so
+    one batch is held at a time; start goes out with the first batch, and
+    end, if not empty, in a write of its own."""
+    pieces = iter(pieces)
+    out.write(start + sep.join(itertools.islice(pieces, 4096)))
+    while batch := list(itertools.islice(pieces, 4096)):  # an empty piece is not the end
+        out.write(sep + sep.join(batch))
+    if end:
+        out.write(end)
+
+
+def _svg_lines(points: Iterable[tuple[int, int]], n: int) -> Iterator[str]:
+    # the lines of render_svg, each point checked as it is drawn
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        f'viewBox="0 0 {n} {n}">\n'
+    )
+    yield f'<g fill="#1f3b73" transform="translate(0,{n}) scale(1,-1)">\n'
+    for x, y in points:
+        if not (1 <= x < n and 1 <= y < n):
+            raise ValueError(f"point ({x}, {y}) is outside [1, {n})^2")
+        if n <= 64:
+            yield f'<circle cx="{x + 0.5}" cy="{y + 0.5}" r="0.3"/>\n'
+        else:
+            yield f'<rect x="{x}" y="{y}" width="1" height="1"/>\n'
+    yield "</g>\n</svg>\n"
+
+
 def render_svg(points: Iterable[tuple[int, int]], n: int) -> str:
     """Standalone SVG scatter of planar points on a square of side n.
 
@@ -268,25 +297,7 @@ def render_svg(points: Iterable[tuple[int, int]], n: int) -> str:
     unit square per point, or a dot for small n where squares would touch.
     No external references, so the document is self-contained.
     """
-    pts = list(points)
-    for x, y in pts:
-        if not (1 <= x < n and 1 <= y < n):
-            raise ValueError(f"point ({x}, {y}) is outside [1, {n})^2")
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
-        f'viewBox="0 0 {n} {n}">',
-        f'<g fill="#1f3b73" transform="translate(0,{n}) scale(1,-1)">',
-    ]
-    if n <= 64:
-        parts.extend(
-            f'<circle cx="{x + 0.5}" cy="{y + 0.5}" r="0.3"/>' for x, y in pts
-        )
-    else:
-        parts.extend(f'<rect x="{x}" y="{y}" width="1" height="1"/>' for x, y in pts)
-    parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "".join(_svg_lines(points, n))
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -407,43 +418,29 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     m = args.m if args.m is not None else args.d
     spec = HyperbolaSpec(args.d, m, args.a, args.n)
     if args.points:
-        pts = enumerate_points(spec, budget=args.budget)
-        pts = itertools.chain([next(pts)], pts)  # the budget check precedes any output
-        if args.format == "json":
-            # json.dumps of the whole list, a batch at a time, outer brackets cut
-            sep = "["
-            while batch := list(itertools.islice(pts, 4096)):
-                sys.stdout.write(sep + json.dumps(batch)[1:-1])
-                sep = ", "
-            sys.stdout.write("]\n")
-            return 0
-        if args.format == "csv":
-            line = ",".join(["%s"] * spec.d) + "\n"
-            sys.stdout.write(line % tuple(f"x{i}" for i in range(1, spec.d + 1)))
-        else:
-            line = " ".join(["%s"] * spec.d) + "\n"
-        while batch := list(itertools.islice(pts, 4096)):
-            sys.stdout.write("".join([line % pt for pt in batch]))
-        return 0
-    attained = signed_sumset(spec, budget=args.budget)
-    if args.format == "csv":
-        values = attained.values()
-        sys.stdout.write("residue\n")
-        for i in range(0, len(values), 4096):
-            sys.stdout.write("".join([f"{v}\n" for v in values[i : i + 4096]]))
-    elif args.format == "json":
-        payload = {
-            "d": spec.d,
-            "m": spec.m,
-            "a": spec.a,
-            "n": spec.n,
-            "cardinality": len(attained),
-            "members": attained.values(),
-        }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        rows = enumerate_points(spec, budget=args.budget)
+        rows = itertools.chain([next(rows)], rows)  # the budget check precedes any output
     else:
-        print(f"cardinality {len(attained)} of modulus {spec.n}")
-        print(" ".join(str(v) for v in attained))
+        rows = signed_sumset(spec, budget=args.budget)
+    # each format gives the bytes of json.dumps of the whole list, csv.writer or print
+    if args.format == "json" and args.points:
+        line = "[" + ", ".join(["%s"] * spec.d) + "]"
+        _write_joined((line % pt for pt in rows), sys.stdout, "[", ", ", "]\n")
+    elif args.format == "json":
+        payload = {"d": spec.d, "m": spec.m, "a": spec.a, "n": spec.n, "cardinality": len(rows)}
+        head = json.dumps({**payload, "members": []})[:-2]  # its closing ]} cut
+        _write_joined(map(str, rows), sys.stdout, head, ", ", "]}\n")
+    elif args.points:
+        line = ("," if args.format == "csv" else " ").join(["%s"] * spec.d) + "\n"
+        if args.format == "csv":
+            sys.stdout.write(line % tuple(f"x{i}" for i in range(1, spec.d + 1)))
+        _write_joined((line % pt for pt in rows), sys.stdout)
+    elif args.format == "csv":
+        sys.stdout.write("residue\n")
+        _write_joined((f"{v}\n" for v in rows), sys.stdout)
+    else:
+        head = f"cardinality {len(rows)} of modulus {spec.n}\n"
+        _write_joined(map(str, rows), sys.stdout, head, " ", "\n")
     return 0
 
 
@@ -509,16 +506,17 @@ def _cmd_solve3(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     spec = HyperbolaSpec(2, 2, args.a, args.n)
-    pts = [(x, y) for x, y in enumerate_points(spec, budget=args.budget)]
-    svg = render_svg(pts, spec.n)
+    pts = enumerate_points(spec, budget=args.budget)
+    pts = itertools.chain([next(pts)], pts)  # the budget check precedes opening any file
     if args.out == "-":
-        sys.stdout.write(svg)
-    else:
-        try:
-            Path(args.out).write_text(svg)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
-        print(f"wrote {len(pts)} points to {args.out}", file=sys.stderr)
+        _write_joined(_svg_lines(pts, spec.n), sys.stdout)
+        return 0
+    try:
+        with open(args.out, "w") as out:
+            _write_joined(_svg_lines(pts, spec.n), out)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
+    print(f"wrote {euler_phi(spec.n)} points to {args.out}", file=sys.stderr)  # one per unit x
     return 0
 
 

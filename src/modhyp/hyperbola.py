@@ -139,7 +139,8 @@ class ResidueSet:
         return 0 <= r < self.modulus and bool(self._mask[r])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.values())
+        for lo in range(0, self.modulus, 1 << 16):  # no list of every member at once
+            yield from (np.flatnonzero(self._mask[lo : lo + (1 << 16)]) + lo).tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResidueSet):

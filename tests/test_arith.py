@@ -95,6 +95,10 @@ def test_prime_factorization_validates():
         PrimeFactorization(12, ((3, 1), (2, 2)))  # out of order
     with pytest.raises(ValueError):
         PrimeFactorization(8, ((8, 1),))  # not prime
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        PrimeFactorization(0, ())
+    with pytest.raises(ValueError, match="^exponent of 2 must be >= 1$"):
+        PrimeFactorization(1, ((2, 0),))
 
 
 def test_euler_phi():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -272,6 +273,23 @@ def test_budget_edge_in_dimension():
     )
     code, out, err = run_cli(["card", "--d", "6105", "--a", "1", "--n", "2"])
     assert (code, out) == (2, "") and "budget" in err
+
+
+# argument refusals that no other test reaches, each with its message
+_REFUSALS = {
+    ("scan", "--a", "1", "--max-n", "10", "--L", "abc"): "'abc' is not a rational",
+    ("scan", "--a", "1", "--max-n", "10", "--L", "1/0"): "'1/0' is not a rational",
+    ("primorial", "--a", "1", "--k-max", "0"): "error: k_max must be >= 1\n",
+    ("solve3", "--b", "0", "--a", "1", "--p", "11", "--t", "0"): "error: exponent t must be >= 1\n",
+    ("ratio", "--a", "1", "--n", "0"): "error: n must be >= 1\n",
+    ("density", "--a", "1", "--max-n", "1"): "error: x must be >= 2\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSALS), ids=" ".join)
+def test_refusal_message_and_exit_1(argv):
+    code, out, err = run_cli(list(argv))
+    assert (code, out) == (1, "") and _REFUSALS[argv] in err
 
 
 # ---------------------------------------------------------------- ratio/card
@@ -863,6 +881,63 @@ def test_enumerate_bytes_pinned_through_a_pipe(fmt):
     assert _pipe_sha256(argv) == _ENUMERATE_SHA256[fmt]
 
 
+# sha256 of the sumset and SVG stdout, pinned from the release that built
+# each whole before writing it: plot draws circles up to n = 64, rects above
+_STREAM_SHA256 = {
+    ("enumerate", "--a", "4", "--n", "101", "--format", "csv"): (
+        "7d6e13dc8519fd658228fa95bf42687b6bf15f33abd2e30c092f7d29e78dbb55"
+    ),
+    ("enumerate", "--a", "4", "--n", "101", "--format", "json"): (
+        "eef10e7a61dacf89eac1ab41f3aec9a3a90e5fcf911c59c010d3a2b64478b436"
+    ),
+    ("enumerate", "--a", "4", "--n", "101", "--format", "table"): (
+        "98617d15a340427b92933050727ae7cf10ba99e41e41902bcba036a6cb03a824"
+    ),
+    ("plot", "--a", "51", "--n", "64", "--out", "-"): (
+        "9c7629907338e38e90f25949e97c3400a8026b9d6ab10ad98db5ffa7fc5e0136"
+    ),
+    ("plot", "--a", "4", "--n", "101", "--out", "-"): (
+        "a095a6d6891c975a242969ded9b8742a1f1c67a2978f31827a34fba50c0ee8f2"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_STREAM_SHA256), ids=" ".join)
+def test_stream_bytes_pinned_through_a_pipe(argv):
+    assert _pipe_sha256(list(argv)) == _STREAM_SHA256[argv]
+
+
+class _NullIO(io.TextIOBase):
+    """A text sink that keeps nothing, so a traced peak is the writer's own."""
+
+    def write(self, s):
+        return len(s)
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("plot", "--out", "-"), 100),
+        (("enumerate", "--format", "table"), 50),
+        (("enumerate", "--format", "json"), 50),
+    ],
+    ids=["plot", "sumset table", "sumset json"],
+)
+def test_stream_peak_memory_per_residue(argv, bound):
+    # a list of every point or member, or the whole SVG or sumset line, costs
+    # tens to hundreds of bytes a residue; streamed, the peak is the oracle's
+    # own arrays (about 20 bytes a residue at this n, and 40 for plot)
+    n = 100003
+    with redirect_stdout(_NullIO()), redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert run([*argv, "--a", "1", "--n", str(n)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak / n < bound
+
+
 # ---------------------------------------------------------------- enumerate
 
 
@@ -1136,3 +1211,20 @@ def test_plot_unwritable_path_exits_1(tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {out_file}: ")
     assert err.count("\n") == 1
+
+
+def test_plot_budget_refusal_creates_no_file(tmp_path):
+    out_file = tmp_path / "h.svg"
+    argv = ["plot", "--a", "1", "--n", "101", "--budget", "10", "--out", str(out_file)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "") and "budget of 10" in err
+    assert not out_file.exists()
+
+
+def test_plot_writes_4096_lines_per_call():
+    # 3 header lines, phi(10007) = 10006 points and the closing tags
+    out = _CountingIO()
+    with redirect_stdout(out):
+        assert run(["plot", "--a", "1", "--n", "10007", "--out", "-"]) == 0
+    assert out.writes == 3
+    assert out.getvalue() == render_svg(enumerate_points(HyperbolaSpec(2, 2, 1, 10007)), 10007)
