@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import _TRIAL_PRIMES, _jacobi, _sqrt_mod_pp_unchecked, _units
 from .arith import factorize, is_prime, primes_up_to
-from .cardinality import _card_S2_pp_array, _counts
+from .cardinality import _FULL_COVERAGE_ABOVE, _counts, _counts_array
 from .hyperbola import (
     _TABLE_LIMIT,
     DEFAULT_BUDGET,
@@ -134,8 +134,8 @@ class PrimorialReport(NamedTuple):
 class CoverageReport(NamedTuple):
     """Which residues the signed sumset attains, for d >= 3.
 
-    guaranteed is True when every prime factor of n exceeds 7, the regime
-    where full coverage always holds (and so missing must be empty).
+    guaranteed is True when every prime factor of n is past the threshold
+    of full coverage (cardinality), so that missing must be empty.
     """
 
     spec: HyperbolaSpec
@@ -149,11 +149,6 @@ def classify(c2: Fraction) -> str:
     denominator of a Fraction is positive, so the integers decide."""
     num, den = c2.numerator, c2.denominator
     return _CLASSES[(num > den) - (num < den) + 1]
-
-
-def _check_sieve_range(x: int) -> None:
-    if x >= _SIEVE_LIMIT:
-        raise ValueError(f"range bound {x} must be below 2^31 (the ratio sieve is int32)")
 
 
 def _residues(a: int, m: np.ndarray) -> np.ndarray:
@@ -249,7 +244,8 @@ def _ratio_sieve(
     to the first power, whose factor _prime_ratios applies to the whole
     window at once.
     """
-    _check_sieve_range(x)
+    if x >= _SIEVE_LIMIT:
+        raise ValueError(f"range bound {x} must be below 2^31 (the ratio sieve is int32)")
     scattered = []  # (num, den, p): the ratio at each prime p >= dense, and p
     strided = []  # (p^t, divisor or None, multiplier) for the other powers, in order
     dense = _WINDOW >> 7  # below it a prime has over 128 multiples a window: stride them
@@ -522,7 +518,7 @@ def coverage_check(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Coverag
         raise ValueError("coverage_check requires d >= 3")
     attained = signed_sumset(spec, budget=budget)
     missing = attained.complement()
-    guaranteed = all(p > 7 for p, _ in factorize(spec.n).factors)
+    guaranteed = all(p > _FULL_COVERAGE_ABOVE for p, _ in factorize(spec.n).factors)
     return CoverageReport(spec, len(missing) == 0, missing, guaranteed)
 
 
@@ -575,11 +571,9 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
 def _mismatches(n: int, a: np.ndarray, where: str) -> list[str]:
     """A line for each unit of the array a where the closed forms disagree
     with the oracle at n: |S| and |D| at a are the products over the prime
-    powers p^t of n of the class counts at a and at -a."""
-    s = d = 1
-    for p, t in factorize(n).factors:
-        s = s * _card_S2_pp_array(a, p, t)
-        d = d * _card_S2_pp_array(-a, p, t)
+    powers p^t of n of the sumset and difference set counts at a."""
+    pairs = [_counts_array(a, p, t) for p, t in factorize(n).factors]
+    s, d = np.prod(pairs, axis=0)
     sums, diffs = sum_diff_cardinalities(n, a)
     return [
         f"mismatch at a={a[i]}, {where} ({s[i]}, {d[i]}) vs oracle ({sums[i]}, {diffs[i]})"
@@ -590,8 +584,8 @@ def _mismatches(n: int, a: np.ndarray, where: str) -> list[str]:
 def verify_sweep(max_pp: int, max_n: int | None = None) -> Iterator[tuple[int, int, list[str]]]:
     """Check the planar closed forms against the enumeration oracle.
 
-    The prime-power phase (0) compares card_S2_pp at a and -a with the
-    oracle's |S| and |D| for every unit a of every prime power up to max_pp.
+    The prime-power phase (0) compares the closed-form pair _counts_array
+    with the oracle's |S| and |D| at every unit a of each prime power <= max_pp.
     The composite phase (1) compares their products over the prime powers
     of n for every n in [2, max_n]: at every unit a up to n = 300, above it
     at 20 units drawn from one seeded stream in ascending n.  Yields one

@@ -7,7 +7,8 @@ that of -a, so the difference set at a is the sumset at -a and its count is
 card_S2_pp(-a, p, t).  Criteria 01 and 03 check this against the
 enumeration oracle, which does not use the identity.  The count depends
 on a only through its class (_count), a mod 8 at p = 2 and the Legendre
-symbol at odd p; callers that hold a proven prime read it by _counts.
+symbol at odd p.  Callers that hold a proven prime read the pair (sumset,
+difference set) from _counts, or at each a of an array from _counts_array.
 
 Every count is an exact integer and every ratio an exact rational, so the
 dominance boundary at ratio 1 is decided without any rounding.
@@ -50,6 +51,7 @@ METHOD_CLOSED_FORM_ODD = "closed-form-odd-p"
 METHOD_SMALL_POWER = "small-power-table"
 METHOD_FULL_COVERAGE = "full-coverage-d>2"
 METHOD_ORACLE = "oracle"
+_FULL_COVERAGE_ABOVE = 7  # for d > 2 the signed sumset is all of Z/p^t at every p above it
 
 
 class FactorCount(NamedTuple):
@@ -146,15 +148,17 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
     return _counts(a, p, t)[0]
 
 
-def _card_S2_pp_array(a: np.ndarray, p: int, t: int) -> np.ndarray:
-    """card_S2_pp(a, p, t) at each a of an int64 array of units at the
-    prime p <= 8192.  The class of a, a mod 8 at p = 2 or whether a is a
-    square mod p at odd p, indexes the counts of the classes."""
+def _counts_array(a: np.ndarray, p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """_counts at each a of an int64 array of units at the prime p <= 8192,
+    as the arrays (sums, diffs): one table, the count of each residue mod 8
+    at p = 2 or mod p at odd p (by whether it is a square), read at a and -a."""
     if p == 2:
-        return np.array([_count(2, t, r) for r in range(8)], dtype=np.int64)[a % 8]
-    square = np.zeros(p, dtype=bool)
-    square[np.arange(1, p) ** 2 % p] = True
-    return np.where(square[a % p], _count(p, t, 1), _count(p, t, -1))
+        table = np.array([_count(2, t, r) for r in range(8)], dtype=np.int64)
+    else:
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(1, p) ** 2 % p] = True
+        table = np.where(square, _count(p, t, 1), _count(p, t, -1))
+    return table[a % len(table)], table[-a % len(table)]
 
 
 def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CardinalityReport:
@@ -180,7 +184,7 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
             else:
                 method = METHOD_CLOSED_FORM_ODD
             count = _counts(spec.a, p, t)[spec.m == 1]
-        elif p > 7:
+        elif p > _FULL_COVERAGE_ABOVE:
             count, method = p**t, METHOD_FULL_COVERAGE
         else:
             q = p**t

@@ -24,7 +24,6 @@ from .analysis import (
     DensityReport,
     DominanceWindow,
     PrimorialReport,
-    _check_sieve_range,
     classify,
     coverage_check,
     density_report,
@@ -218,21 +217,24 @@ _BUILDERS = {
 def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     """Stream a homogeneous sequence of reports to out as a table, CSV or a JSON array.
 
-    Reports are consumed one at a time and the lines of each are written in
-    one out.write as soon as they are built, so a generator of reports is
-    never held in memory.  A table has no header.  CSV starts with the fixed
-    header for the report kind.  JSON is an array of objects keyed by that
-    header, every value a string, byte-identical to json.dumps of the list
-    of those objects with indent=2, plus a newline.  An empty stream gives a
-    header-only CSV (or "[]").  Row order follows input order, so output is
-    byte-deterministic.  A "dominance" report is a DominanceWindow, of any
-    number of rows, none included; a "ratio" report is a one-row
-    DominanceWindow, whose table adds the ratio at each prime power.  A
-    "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of a
+    Reports are consumed one at a time, the first before any write, and the
+    lines of each are written in one out.write as soon as they are built, so
+    a generator of reports is never held in memory, and one that raises at
+    its first report writes nothing.  A table has no header.  CSV starts
+    with the fixed header for the report kind.  JSON is an array of objects
+    keyed by that header, every value a string, byte-identical to json.dumps
+    of the list of those objects with indent=2, plus a newline.  An empty
+    stream gives a header-only CSV (or "[]").  Row order follows input
+    order, so output is byte-deterministic.  A "dominance" report is a
+    DominanceWindow, of any number of rows, none included; a "ratio" report
+    is a one-row DominanceWindow, whose table adds the ratio at each prime
+    power.  A "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of a
     solve_sum_product call.
     """
     header = _HEADERS[kind]
     build, table = _BUILDERS[kind]
+    reports = iter(reports)
+    reports = itertools.chain(list(itertools.islice(reports, 1)), reports)
     if fmt == "table":
         for rep in reports:
             out.write(table(rep))
@@ -419,7 +421,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     spec = HyperbolaSpec(args.d, m, args.a, args.n)
     if args.points:
         rows = enumerate_points(spec, budget=args.budget)
-        rows = itertools.chain([next(rows)], rows)  # the budget check precedes any output
     else:
         rows = signed_sumset(spec, budget=args.budget)
     # each format gives the bytes of json.dumps of the whole list, csv.writer or print
@@ -472,7 +473,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    _check_sieve_range(args.max_n)  # the sieve runs lazily, after the CSV header
     skipped: list[int] = []
     windows = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
     write_reports(windows, args.format, "dominance", sys.stdout)
@@ -506,8 +506,7 @@ def _cmd_solve3(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     spec = HyperbolaSpec(2, 2, args.a, args.n)
-    pts = enumerate_points(spec, budget=args.budget)
-    pts = itertools.chain([next(pts)], pts)  # the budget check precedes opening any file
+    pts = enumerate_points(spec, budget=args.budget)  # refuses before any file is opened
     if args.out == "-":
         _write_joined(_svg_lines(pts, spec.n), sys.stdout)
         return 0

@@ -244,14 +244,17 @@ def _blocks(
 def enumerate_points(
     spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the points of the hyperbola, each coordinate a unit in [1, n).
+    """An iterator over the points of the hyperbola, each coordinate a unit in [1, n).
 
-    Iteration is lexicographic in the leading d-1 coordinates; the last
-    coordinate is a times the inverse of their product.  The number of
-    leading tuples is phi(n)^(d-1) and must fit the budget.
+    Iteration is lexicographic in the leading d-1 coordinates; the last is
+    a times the inverse of their product.  The phi(n)^(d-1) leading tuples
+    must fit the budget, checked at the call, before any point is formed.
     """
-    count = _checked_tuple_count(spec, budget)
-    units, _ = _unit_tables(spec.n)
+    return _points(spec, _checked_tuple_count(spec, budget))
+
+
+def _points(spec: HyperbolaSpec, count: int) -> Iterator[tuple[int, ...]]:
+    units, _ = _unit_tables(spec.n)  # the points of the first count leading tuples
     for start, last, _ in _blocks(spec.n, [spec.a], spec.signs[:-1], 0, count):
         rest, lead = np.arange(start, start + len(last)), []
         for _ in range(spec.d - 1):  # base-phi digits of the tuple number

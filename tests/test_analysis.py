@@ -27,7 +27,13 @@ from modhyp.analysis import (
     solve_sum_product,
 )
 from modhyp.arith import _jacobi, factorize, is_prime, legendre, primes_up_to
-from modhyp.cardinality import card_S2_pp, ratio_c2, ratio_c2_pp
+from modhyp.cardinality import (
+    METHOD_FULL_COVERAGE,
+    card_S2_pp,
+    card_signed_sumset,
+    ratio_c2,
+    ratio_c2_pp,
+)
 from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
 
 
@@ -557,6 +563,15 @@ def test_coverage_guarantee_holds_sampled():
         for m in range(4):
             rep = coverage_check(HyperbolaSpec(3, m, 2, n))
             assert rep.guaranteed and rep.covered, (n, m)
+
+
+def test_coverage_guarantee_is_the_full_coverage_method():
+    # one threshold decides both: guaranteed exactly when card counts every
+    # factor by full coverage, over moduli with primes at most 7 and above it
+    for n in (5, 7, 11, 13, 2 * 11, 3 * 13, 7 * 11, 11 * 13, 5 * 7, 49, 121):
+        spec = HyperbolaSpec(3, 2, 1, n)
+        methods = {fc.method for fc in card_signed_sumset(spec).per_factor}
+        assert coverage_check(spec).guaranteed == (methods == {METHOD_FULL_COVERAGE}), n
 
 
 # ---------------------------------------------------------------- solver

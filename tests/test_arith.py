@@ -161,6 +161,11 @@ def test_sqrt_rejects_shared_factor():
         sqrt_mod_pp(10, 5, 2)
 
 
+def test_sqrt_rejects_exponent_below_one():
+    with pytest.raises(ValueError, match="exponent t must be >= 1"):
+        sqrt_mod_pp(3, 7, 0)
+
+
 def test_sqrt_vs_exhaustive():
     for p, t, q in prime_powers_up_to(2000):
         roots_of = {}

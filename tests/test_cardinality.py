@@ -18,7 +18,7 @@ from modhyp.cardinality import (
     FactorCount,
     PartialResultError,
     RatioValue,
-    _card_S2_pp_array,
+    _counts_array,
     card_S2_pp,
     card_signed_sumset,
     ratio_c2,
@@ -103,13 +103,13 @@ def test_card_matches_oracle_per_class_past_the_table_limit(a, p, t):
 
 
 def test_card_array_matches_per_a():
-    # the class-keyed array form against card_S2_pp at every unit a and -a
+    # the class-keyed array pair against card_S2_pp at every unit x and -x
     # of every p^t <= 2048, so p = 2 up to t = 11
     for p, t, q in prime_powers_up_to(2048):
         a = np.array([a for a in range(1, q) if a % p], dtype=np.int64)
-        for signed in (a, -a):
-            counts = _card_S2_pp_array(signed, p, t)
-            assert counts.tolist() == [card_S2_pp(int(x), p, t) for x in signed], (p, t)
+        sums, diffs = _counts_array(a, p, t)
+        assert sums.tolist() == [card_S2_pp(x, p, t) for x in a.tolist()], (p, t)
+        assert diffs.tolist() == [card_S2_pp(-x, p, t) for x in a.tolist()], (p, t)
 
 
 def test_card_reduces_a():

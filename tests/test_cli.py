@@ -27,7 +27,7 @@ from modhyp.analysis import (
     solve_sum_product,
 )
 from modhyp.arith import euler_phi, primes_up_to
-from modhyp.cardinality import _card_S2_pp_array, card_S2_pp, card_signed_sumset, ratio_c2
+from modhyp.cardinality import _counts_array, card_S2_pp, card_signed_sumset, ratio_c2
 from modhyp.cli import _BUILDERS, build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points, sum_diff_cardinalities
 
@@ -364,18 +364,18 @@ def test_verify_sweep_yields_serial_records():
 
 def _patch_closed_form(monkeypatch, edits):
     """Route the sweep's closed form through edits: the k-th evaluation at
-    p^t (k from 1) returns edits[p, t, k](a, counts) for the counts at the
-    array a, which is -a for the difference count.  The sweep evaluates
-    the sum, then the difference, at each modulus in its order."""
+    p^t (k from 1) has its sums replaced by edits[p, t, k](a, sums) for the
+    array a.  The sweep evaluates the pair (sums, diffs) once at each
+    modulus in its order."""
     calls = collections.Counter()
 
     def patched(a, p, t):
-        counts = _card_S2_pp_array(a, p, t)
+        sums, diffs = _counts_array(a, p, t)
         calls[p, t] += 1
         edit = edits.get((p, t, calls[p, t]))
-        return counts if edit is None else edit(a, counts)
+        return (sums if edit is None else edit(a, sums)), diffs
 
-    monkeypatch.setattr("modhyp.analysis._card_S2_pp_array", patched)
+    monkeypatch.setattr("modhyp.analysis._counts_array", patched)
 
 
 def _raise(a, counts):
@@ -385,10 +385,10 @@ def _raise(a, counts):
 def test_verify_reports_each_mismatch(monkeypatch):
     # one sum off at a = 2 in the prime-power check of 5 (the first
     # evaluation at 5^1), and one at a = 7 in the composite check of 12 (the
-    # seventh at 3^1, after q = 3 and n = 3, 6)
+    # fourth at 3^1, after q = 3 and n = 3, 6)
     _patch_closed_form(
         monkeypatch,
-        {(5, 1, 1): lambda a, c: c + (a == 2), (3, 1, 7): lambda a, c: c + (a == 7)},
+        {(5, 1, 1): lambda a, c: c + (a == 2), (3, 1, 4): lambda a, c: c + (a == 7)},
     )
     s, d = card_S2_pp(2, 5, 1), card_S2_pp(-2, 5, 1)
     cs = card_signed_sumset(HyperbolaSpec(2, 2, 7, 12)).total
@@ -442,8 +442,8 @@ def test_verify_takes_no_budget():
 def test_verify_errors_after_mismatches_match_serial(monkeypatch):
     # a prime-power error stops the sweep at once, a composite one after
     # every prime-power line and the composite lines before it.  The sweep
-    # checks q = 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, then n = 2..12: the third
-    # evaluation at 2^3 is the sum at n = 8, the fifth at 5^1 that at n = 10
+    # checks q = 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, then n = 2..12: the second
+    # evaluation at 2^3 is the pair at n = 8, the third at 5^1 that at n = 10
     def lines_at(edits):
         _patch_closed_form(monkeypatch, edits)
         code, out, err = run_cli(["verify", "--max-pp", "16", "--max-n", "12"])
@@ -451,7 +451,7 @@ def test_verify_errors_after_mismatches_match_serial(monkeypatch):
         return [line.split(":")[0] for line in err.splitlines()]
 
     off = {(5, 1, 1): lambda a, c: c + (a == 2), (13, 1, 1): lambda a, c: c + (a == 3)}
-    composite = {(2, 3, 3): lambda a, c: c + 1, (5, 1, 5): _raise, (3, 1, 7): lambda a, c: c + 1}
+    composite = {(2, 3, 2): lambda a, c: c + 1, (5, 1, 3): _raise, (3, 1, 4): lambda a, c: c + 1}
     assert lines_at({**off, **composite}) == [
         "mismatch at a=2, q=5^1",
         "mismatch at a=3, q=13^1",
@@ -830,6 +830,16 @@ def test_write_reports_writes_once_per_report(kind):
             out = _CountingIO()
             write_reports(iter(samples[:count]), fmt, kind, out)
             assert out.writes == count + extra, (fmt, count)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_write_reports_writes_nothing_when_first_report_raises(fmt):
+    # the first report is taken before any write: the scan's sieve refuses
+    # 2^31 at its first window, and leaves no CSV header or JSON bracket
+    out = _CountingIO()
+    with pytest.raises(ValueError, match="must be below 2\\^31"):
+        write_reports(analysis.dominance_scan(3, 2**31), fmt, "dominance", out)
+    assert (out.writes, out.getvalue()) == (0, "")
 
 
 @pytest.mark.parametrize("kind", list(_BUILDERS))

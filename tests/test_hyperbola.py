@@ -102,6 +102,14 @@ def test_residue_set_mask_roundtrip():
     assert np.array_equal(given, mask) and 2 not in rs
 
 
+def test_residue_set_other_types_and_repr():
+    # comparison with a non-ResidueSet falls back (NotImplemented) to identity
+    rs = from_mask(9, [0, 3, 6])
+    assert rs != [0, 3, 6] and not rs == [0, 3, 6]
+    assert rs.__eq__([0, 3, 6]) is NotImplemented
+    assert repr(rs) == "ResidueSet(mod 9, 3 members)"
+
+
 # ---------------------------------------------------------------- enumerate
 
 
@@ -141,6 +149,14 @@ def test_enumerate_order_and_count():
         for pt in pts:
             assert math.prod(pt) % spec.n == spec.a
             assert all(1 <= c < spec.n and math.gcd(c, spec.n) == 1 for c in pt)
+
+
+def test_enumerate_budget_refused_at_the_call():
+    # as signed_sumset does: the refusal comes from the call itself, before
+    # any next(), so a caller can refuse before it writes or opens anything
+    with pytest.raises(EnumerationBudgetError) as err:
+        enumerate_points(HyperbolaSpec(3, 3, 1, 101), budget=100)
+    assert err.value.tuple_count == 100**2
 
 
 def test_enumerate_budget():
