@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -582,29 +583,6 @@ def test_card_csv_roundtrip():
         assert int(row["total"]) == rep.total
 
 
-# sha256 of scan stdout, pinned from an earlier release: row records and
-# number formatting may change, the bytes may not.  The first two span three
-# sieve windows of 2^13 moduli.
-_SCAN_SHA256 = {
-    ("--a", "1019", "--max-n", "20000", "--format", "csv"):
-        "227b0410f0c066409d729fa2e2d976f1c3055087cbc42e1ce6d68f68dd50a278",
-    ("--a", "1019", "--max-n", "20000", "--format", "json", "--L", "1"):
-        "b8384404a8c233e67d3c80902d0b300dc6e9b925752c841b91a834cedb4f05c9",
-    ("--a", "-7", "--max-n", "9000", "--L", "-1/2", "--format", "table"):
-        "2f581f48026dc30016e240e96ba7b855af35b743a2757d121575715cd335f516",
-    ("--a", "4", "--max-n", "3000", "--L", "3/2", "--format", "csv"):
-        "255053c978d04f3e56ac9321c0c1d5c406772b662bc272e18498f569090ff3e8",
-}
-
-
-@pytest.mark.parametrize("argv", list(_SCAN_SHA256), ids=" ".join)
-def test_scan_output_bytes_pinned(argv):
-    code, out, err = run_cli(["scan", *argv])
-    assert code == 0
-    assert err.startswith("skipped ")
-    assert hashlib.sha256(out.encode()).hexdigest() == _SCAN_SHA256[argv]
-
-
 @pytest.mark.parametrize(
     "fmt, out", [("csv", "a,n,c2,c2_decimal,classification\n"), ("json", "[]\n"), ("table", "")]
 )
@@ -859,69 +837,89 @@ def test_scan_table_writes_once_per_window():
     assert out.writes == len(list(analysis.dominance_scan(1019, 20000))) == 3
 
 
-def _pipe_sha256(argv):
-    # through a real pipe: the TextIOWrapper path that a shell user sees
+# ---------------------------------------------------------------- byte pins
+
+# Every byte pin of the CLI but the empty-window ones, one manifest entry
+# each: commands run in order, the exit code each returns, the sha256 of
+# their joined stdout and their joined stderr as text.  A hash changes only
+# in a change that names the entry and the reason in CHANGES.md.
+
+
+def _load_pins():
+    # a mistyped entry fails collection instead of checking nothing
+    with open(os.path.join(os.path.dirname(__file__), "pins.json"), encoding="utf-8") as f:
+        entries = json.load(f)
+    names = [entry["name"] for entry in entries]
+    assert len(set(names)) == len(names), "pin names must be unique"
+    for entry in entries:
+        name = entry["name"]
+        assert set(entry) == {"name", "why", "argv", "exit", "stdout_sha256", "stderr"}, name
+        assert isinstance(name, str) and name and isinstance(entry["why"], str), name
+        assert re.fullmatch("[0-9a-f]{64}", entry["stdout_sha256"]), name
+        argv = entry["argv"]
+        assert isinstance(argv, list) and argv, name
+        for words in argv:
+            assert isinstance(words, list) and words, name
+            assert all(isinstance(w, str) and w for w in words), name
+        assert type(entry["exit"]) is int and entry["exit"] in (0, 1, 2), name
+        assert isinstance(entry["stderr"], str), name
+    return {entry["name"]: entry for entry in entries}
+
+
+_PINS = _load_pins()
+
+
+class _HashIO(io.TextIOBase):
+    """A text sink that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, s):
+        self.sha256.update(s.encode())
+        return len(s)
+
+
+@pytest.mark.parametrize("name", list(_PINS))
+def test_pinned_bytes_in_process(name):
+    pin = _PINS[name]
+    out, err = _HashIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        codes = [run(argv) for argv in pin["argv"]]
+    assert codes == [pin["exit"]] * len(codes)
+    assert err.getvalue() == pin["stderr"]
+    assert out.sha256.hexdigest() == pin["stdout_sha256"]
+
+
+# through `python -m modhyp`: the TextIOWrapper on a real pipe and main's
+# flush, which a shell user sees; sumset_1e6_csv is many 4096-piece writes
+_PIPED = [
+    "scan_1019_2e4_csv",
+    "points_4_101_csv",
+    "points_4_101_json",
+    "points_4_101_table",
+    "sumset_4_101_csv",
+    "sumset_4_101_json",
+    "sumset_4_101_table",
+    "plot_51_64",
+    "plot_4_101",
+    "sumset_1e6_csv",
+]
+
+
+@pytest.mark.parametrize("name", _PIPED)
+def test_pinned_bytes_through_a_pipe(name):
+    pin = _PINS[name]
+    (argv,) = pin["argv"]
     proc = subprocess.run(
         [sys.executable, "-m", "modhyp", *argv],
         capture_output=True,
         env=_subprocess_env(),
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    return hashlib.sha256(proc.stdout).hexdigest()
-
-
-def test_scan_bytes_pinned_through_a_pipe():
-    argv = ("--a", "1019", "--max-n", "20000", "--format", "csv")
-    assert _pipe_sha256(["scan", *argv]) == _SCAN_SHA256[argv]
-
-
-# sha256 of enumerate --points stdout, pinned from the release that wrote
-# it with csv.writer and one print per point
-_ENUMERATE_SHA256 = {
-    "csv": "7260d2a780add734bba589a2f1db623f94048b80ae08c361806cf76ee28365b0",
-    "json": "7750baef6956a32564e8852eb0437c94e9896d89a8515d51a3b8a9ff492a456f",
-    "table": "6568f3b2e07c2b27438f5a698c47ab241b2dd0d7411395d3b5b1fa3c7c78a402",
-}
-
-
-@pytest.mark.parametrize("fmt", list(_ENUMERATE_SHA256))
-def test_enumerate_bytes_pinned_through_a_pipe(fmt):
-    argv = ["enumerate", "--d", "2", "--a", "4", "--n", "101", "--points", "--format", fmt]
-    assert _pipe_sha256(argv) == _ENUMERATE_SHA256[fmt]
-
-
-# sha256 of the sumset and SVG stdout, pinned from the release that built
-# each whole before writing it: plot draws circles up to n = 64, rects above
-_STREAM_SHA256 = {
-    ("enumerate", "--a", "4", "--n", "101", "--format", "csv"): (
-        "7d6e13dc8519fd658228fa95bf42687b6bf15f33abd2e30c092f7d29e78dbb55"
-    ),
-    ("enumerate", "--a", "4", "--n", "101", "--format", "json"): (
-        "eef10e7a61dacf89eac1ab41f3aec9a3a90e5fcf911c59c010d3a2b64478b436"
-    ),
-    ("enumerate", "--a", "4", "--n", "101", "--format", "table"): (
-        "98617d15a340427b92933050727ae7cf10ba99e41e41902bcba036a6cb03a824"
-    ),
-    ("plot", "--a", "51", "--n", "64", "--out", "-"): (
-        "9c7629907338e38e90f25949e97c3400a8026b9d6ab10ad98db5ffa7fc5e0136"
-    ),
-    ("plot", "--a", "4", "--n", "101", "--out", "-"): (
-        "a095a6d6891c975a242969ded9b8742a1f1c67a2978f31827a34fba50c0ee8f2"
-    ),
-}
-
-
-@pytest.mark.parametrize("argv", list(_STREAM_SHA256), ids=" ".join)
-def test_stream_bytes_pinned_through_a_pipe(argv):
-    assert _pipe_sha256(list(argv)) == _STREAM_SHA256[argv]
-
-
-class _NullIO(io.TextIOBase):
-    """A text sink that keeps nothing, so a traced peak is the writer's own."""
-
-    def write(self, s):
-        return len(s)
+    assert proc.returncode == pin["exit"]
+    assert proc.stderr.decode() == pin["stderr"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == pin["stdout_sha256"]
 
 
 @pytest.mark.parametrize(
@@ -938,7 +936,7 @@ def test_stream_peak_memory_per_residue(argv, bound):
     # tens to hundreds of bytes a residue; streamed, the peak is the oracle's
     # own arrays (about 20 bytes a residue at this n, and 40 for plot)
     n = 100003
-    with redirect_stdout(_NullIO()), redirect_stderr(io.StringIO()):
+    with redirect_stdout(_HashIO()), redirect_stderr(io.StringIO()):
         tracemalloc.start()
         try:
             assert run([*argv, "--a", "1", "--n", str(n)]) == 0
