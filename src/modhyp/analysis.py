@@ -289,51 +289,30 @@ def _ratio_sieve(
         yield start, block[0], block[1]
 
 
-def _best_below(f: Fraction, bound: int) -> Fraction:
-    """The largest fraction <= f (f >= 0) with denominator at most bound.
-
-    The best one-sided approximations of f are convergents and
-    semiconvergents of its continued fraction.  The last convergent within
-    the bound and the largest semiconvergent after it lie on opposite sides
-    of f (as in Fraction.limit_denominator), so the smaller one is it.
-    """
-    if f.denominator <= bound:
-        return f
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = f.numerator, f.denominator
-    while True:
-        k = n // d
-        q2 = q0 + k * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + k * p1, q2
-        n, d = d, n - k * d
-    j = (bound - q0) // q1
-    return min(Fraction(p1, q1), Fraction(p0 + j * p1, q0 + j * q1))
-
-
 def _above(threshold: Fraction, x: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The mask of sieve entries with d > 0 and s/d > threshold, exact in
     int64 for entries s, d <= x < 2^31.
 
-    With k = floor(threshold) and p/q the largest fraction <= threshold - k
-    with q <= x, the pair passes iff e*q > d*p for e = clip(s - k*d, 0, d):
-    no fraction e/d with d <= x lies in (p/q, threshold - k].  Every product
-    stays below 2^62.  A negative threshold passes every live entry, and one
-    of x or more passes none (s/d <= n <= x).
+    With k = floor(threshold), f = threshold - k and p/q = the fraction
+    closest to f with q <= x (Fraction.limit_denominator), no fraction with
+    denominator <= x lies strictly between p/q and f.  So for
+    e = clip(s - k*d, 0, d), e/d > f iff e*q > d*p when p/q <= f, and iff
+    e*q >= d*p, that is e*q + 1 > d*p, when p/q > f.  Every product stays
+    below 2^62.  A negative threshold passes every live entry, and one of x
+    or more passes none (s/d <= n <= x).
     """
     if threshold < 0:
         return lambda s, d: d > 0
     k = math.floor(threshold)
     if k >= x:
         return lambda s, d: np.zeros(len(d), dtype=bool)
-    low = _best_below(threshold - k, x)
-    p, q = low.numerator, low.denominator
+    near = (threshold - k).limit_denominator(x)
+    p, q, tie = near.numerator, near.denominator, int(near > threshold - k)
 
     def mask(s: np.ndarray, d: np.ndarray) -> np.ndarray:
         d = d.astype(np.int64)
         e = np.clip(s - k * d, 0, d)
-        return (d > 0) & (e * q > d * p)
+        return (d > 0) & (e * q + tie > d * p)
 
     return mask
 
@@ -513,7 +492,9 @@ def primorial_series(a: int, k_max: int, t: int = 2) -> PrimorialReport:
 
 
 def coverage_check(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> CoverageReport:
-    """Exhaustively attained signed sums versus all of Z/n, for d >= 3."""
+    """Exhaustively attained signed sums versus all of Z/n, for d >= 3.
+    guaranteed: every prime of n exceeds _FULL_COVERAGE_ABOVE, where
+    solve_sum_product's docstring proves full coverage."""
     if spec.d < 3:
         raise ValueError("coverage_check requires d >= 3")
     attained = signed_sumset(spec, budget=budget)
@@ -523,22 +504,37 @@ def coverage_check(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Coverag
 
 
 def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int]:
-    """A unit triple (x1, x2, x3) mod p^t with x1+x2+x3 = b, x1*x2*x3 = a.
+    """A unit triple (x1, x2, x3) mod p^t with x1+x2+x3 = b, x1*x2*x3 = a,
+    verified by substitution before it is returned.
 
-    Requires a prime p > 7, where a usable parameter always exists: y is
-    scanned upward from 1 until the cubic -4a*y^3 + b^2*y^2 - 2b*y + 1 is
-    a nonzero square mod p; its square root then lifts to p^t and the
-    quadratic in x is solved directly.  The triple is verified by
-    substitution before it is returned.
+    It exists for every unit a and every b at each prime p > 7
+    (_FULL_COVERAGE_ABOVE), which proves that for d >= 3 the signed sumset
+    is all of Z/p^t there:
+    - Signs and dimension.  Negating x_i flips its sign and the sign of a,
+      so each m is the all-plus problem at +-a; for d > 3, x_4 = ... = x_d
+      = 1 leaves the d = 3 problem at b - (d - 3).
+    - The witness.  With x2 = 1/y, x1 and x3 are the roots of
+      X^2 - (b - 1/y)X + a*y, of discriminant f(y)/y^2 with
+      f(y) = (b*y - 1)^2 - 4a*y^3.  A y in F_p* with f(y) a nonzero square
+      gives a unit triple mod p (x1*x3 = a*y), and Hensel lifts the root to
+      p^t.  y is scanned upward from 1.
+    - p >= 13.  If f is squarefree, z^2 = f(y) is an elliptic curve with at
+      least p - 2*sqrt(p) > 5 affine points (Hasse; Silverman, The
+      Arithmetic of Elliptic Curves, V.1.1); at most 3 have z = 0 and 2
+      have y = 0, since f(0) = 1.  If f = -4a(y - r)^2(y - s), each y not 0
+      or r with -4a(y - s) a nonzero square works: (p - 1)/2 - 2 or more.
+    - p = 11.  The scan reads a and b mod p only, and
+      test_solver_all_pairs_mod_11 exhausts them.
+    At p = 7 the rule fails (criterion 07's counterexamples).
 
     Raises:
         ValueError: p is not a prime exceeding 7, p divides a, or p^t has
             over ``sys.get_int_max_str_digits()`` digits, too long to print.
         RuntimeError: the scan or the substitution check failed (cannot
-            happen for p > 7).
+            happen, by the argument above).
     """
-    if not is_prime(p) or p <= 7:
-        raise ValueError("p must be a prime greater than 7")
+    if not is_prime(p) or p <= _FULL_COVERAGE_ABOVE:
+        raise ValueError(f"p must be a prime greater than {_FULL_COVERAGE_ABOVE}")
     if t < 1:
         raise ValueError("exponent t must be >= 1")
     if a % p == 0:
@@ -551,7 +547,7 @@ def solve_sum_product(b: int, a: int, p: int, t: int = 1) -> tuple[int, int, int
         disc = (-4 * a_q * y**3 + b_q * b_q * y * y - 2 * b_q * y + 1) % q
         if disc % p and (roots := _sqrt_mod_pp_unchecked(disc, p, t)):
             break
-    else:  # pragma: no cover - impossible for p > 7
+    else:  # pragma: no cover - impossible, by the argument above
         raise RuntimeError(f"no usable parameter found modulo {p}")
     y_inv = pow(y, -1, q)
     s = roots[0] * y_inv % q

@@ -51,6 +51,7 @@ METHOD_CLOSED_FORM_ODD = "closed-form-odd-p"
 METHOD_SMALL_POWER = "small-power-table"
 METHOD_FULL_COVERAGE = "full-coverage-d>2"
 METHOD_ORACLE = "oracle"
+# proved in the docstring of analysis.solve_sum_product
 _FULL_COVERAGE_ABOVE = 7  # for d > 2 the signed sumset is all of Z/p^t at every p above it
 
 

@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from modhyp.cardinality import (
     ratio_c2,
     ratio_c2_pp,
 )
-from modhyp.hyperbola import HyperbolaSpec, sum_diff_sets
+from modhyp.hyperbola import HyperbolaSpec, signed_sumset, sum_diff_sets
 
 
 # ---------------------------------------------------------------- dominance
@@ -254,14 +253,19 @@ def test_residues_of_any_size():
         assert analysis._residues(a, m).tolist() == [a % int(q) for q in m], a
 
 
-def test_best_below_is_largest_bounded_fraction():
-    rng = random.Random(7)
-    cases = [Fraction(0), Fraction(1, 2), Fraction(10**30 - 1, 10**30), Fraction(999, 1000)]
-    cases += [Fraction(rng.randrange(10**6), 10**6 + rng.randrange(10**6)) for _ in range(60)]
-    for f in cases:
-        for bound in (1, 2, 3, 10, 97, 1000):
-            best = max(Fraction(math.floor(f * q), q) for q in range(1, bound + 1))
-            assert analysis._best_below(f, bound) == best, (f, bound)
+@pytest.mark.parametrize("x", [1, 2, 3, 7, 30])
+def test_above_matches_fraction_comparison(x):
+    tiny, eps = Fraction(1, 10**30), Fraction(1, 10**9)
+    thresholds = {Fraction(-1), Fraction(-1, 2), -eps, Fraction(x), x + eps, Fraction(2 * x)}
+    thresholds |= {1 - tiny, 1 + tiny}
+    for j in range(1, 9):  # i/j below 2 and in the last unit below x
+        for i in [*range(2 * j + 1), *range((x - 1) * j, x * j)]:
+            thresholds |= {Fraction(i, j) - eps, Fraction(i, j), Fraction(i, j) + eps}
+    grid = np.array([(s, d) for s in range(x + 1) for d in range(x + 1)], dtype=np.int32).T
+    ratios = [Fraction(s, d) if d else None for s, d in grid.T.tolist()]
+    for t in sorted(thresholds):
+        wanted = [r is not None and r > t for r in ratios]
+        assert analysis._above(t, x)(*grid).tolist() == wanted, (t, x)
 
 
 def test_scan_factor_breakdown_matches_report():
@@ -574,6 +578,16 @@ def test_coverage_guarantee_is_the_full_coverage_method():
         assert coverage_check(spec).guaranteed == (methods == {METHOD_FULL_COVERAGE}), n
 
 
+def test_full_coverage_d4_d5():
+    # the reduction of d > 3 to d = 3 in solve_sum_product's docstring, by
+    # the oracle; d = 5 at 121 and 169 is over the default budget
+    for d, n in [(4, 11), (4, 13), (4, 121), (4, 169), (5, 11), (5, 13)]:
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                for m in range(d + 1):
+                    assert len(signed_sumset(HyperbolaSpec(d, m, a, n))) == n, (d, m, a, n)
+
+
 # ---------------------------------------------------------------- solver
 
 
@@ -591,9 +605,14 @@ def test_solver_examples():
 
 
 def test_solver_all_pairs_mod_11():
-    for b in range(11):
-        for a in range(1, 11):
-            _check_triple(solve_sum_product(b, a, 11, 2), b, a, 121, 11)
+    # every (b, a) at every prime 11 <= p < 200; p = 11 is the case of the
+    # full-coverage proof (solve_sum_product's docstring) that Hasse's bound
+    # leaves open, and t = 1 covers every t: the scan reads a and b mod p only
+    for p in primes_up_to(199)[4:]:
+        for t in (1, 2) if p < 17 else (1,):
+            for b in range(p):
+                for a in range(1, p):
+                    _check_triple(solve_sum_product(b, a, p, t), b, a, p**t, p)
 
 
 def test_solver_scan_skips_the_primality_check(monkeypatch):
