@@ -162,7 +162,8 @@ class PrimeFactorization:
 
     Factors are (prime, exponent) pairs with strictly increasing primes;
     their product must reassemble n, and each prime is re-checked with the
-    deterministic primality test on construction.
+    deterministic primality test on construction.  ``factorize`` builds its
+    results through ``_proven``, as it proves each prime where it finds it.
     """
 
     n: int
@@ -183,6 +184,15 @@ class PrimeFactorization:
             acc *= p**e
         if acc != self.n:
             raise ValueError(f"factors reassemble to {acc}, not {self.n}")
+
+    @classmethod
+    def _proven(cls, n: int, factors: tuple[tuple[int, int], ...]) -> "PrimeFactorization":
+        """The factorization with no checks, for factors the caller has just
+        proven prime and multiplied back to n."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "factors", factors)
+        return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -217,7 +227,7 @@ def factorize(n: int) -> PrimeFactorization:
             else:
                 d = _brent_rho(m)
                 stack += [d, m // d]
-    return PrimeFactorization(original, tuple(sorted(counts.items())))
+    return PrimeFactorization._proven(original, tuple(sorted(counts.items())))
 
 
 def euler_phi(n: int) -> int:

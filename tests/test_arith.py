@@ -13,6 +13,7 @@ from sympy import primerange as sympy_primerange
 from sympy.functions.combinatorial.numbers import legendre_symbol as sympy_legendre_symbol
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
+import modhyp.arith as arith
 from modhyp.arith import (
     PrimeFactorization,
     _jacobi,
@@ -99,6 +100,27 @@ def test_prime_factorization_validates():
         PrimeFactorization(0, ())
     with pytest.raises(ValueError, match="^exponent of 2 must be >= 1$"):
         PrimeFactorization(1, ((2, 0),))
+
+
+def test_factorize_proves_each_factor_once(monkeypatch):
+    # 10007 and the 32-bit primes are proven by Miller-Rabin, 9973 by the
+    # trial primorial; the result is not proven a second time
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return is_prime.__wrapped__(m)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    n = 4294967291 * 4294967279 * 10007 * 9973
+    fac = factorize.__wrapped__(n)
+    assert fac.factors == ((9973, 1), (10007, 1), (4294967279, 1), (4294967291, 1))
+    assert len(calls) == 5
+    assert fac == PrimeFactorization(n, fac.factors)
+    assert len(calls) == 9  # the checked constructor proves all four again
+    semiprime = 4294967291 * 4294967279
+    with pytest.raises(ValueError, match=f"^{semiprime} is not prime$"):
+        PrimeFactorization(semiprime, ((semiprime, 1),))
 
 
 def test_euler_phi():

@@ -391,6 +391,49 @@ def test_cardinalities_at_given_rows():
     assert [c.tolist() for c in sum_diff_cardinalities(7, [])] == [[], []]
     with pytest.raises(ValueError, match="unit"):
         sum_diff_cardinalities(12, [1, 4])
+    # any int is reduced exactly: 2^70 + 1 = 3 (mod 7), past int64
+    assert [c.tolist() for c in sum_diff_cardinalities(7, [2**70 + 1])] == [[3], [4]]
+    for bad in ([1.5], np.array([1.5]), np.array([[1, 2]]), [[1, 2]], 3):
+        with pytest.raises(ValueError, match="1-D sequence of integers"):
+            sum_diff_cardinalities(7, bad)
+
+
+def _reference_rows(n, rows):
+    """Plain-loop sumset and difference set of each a in rows: the residues
+    x + a x^-1 and x - a x^-1 over the units x."""
+    units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+    pairs = [(x, pow(x, -1, n)) for x in units]
+    return [
+        ({(x + a * xi) % n for x, xi in pairs}, {(x - a * xi) % n for x, xi in pairs})
+        for a in rows
+    ]
+
+
+def test_direct_kernel_at_block_edges():
+    # phi(2) = 1; phi(256) * 128 rows = _BLOCK exactly; 1031 has 1030 units,
+    # 15 rows a block, the last holding 10
+    assert euler_phi(256) * (_BLOCK // euler_phi(256)) == _BLOCK
+    for n in (2, 256, 1031):
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+        expected = _reference_rows(n, units)
+        s_tab, d_tab = sum_diff_tables(n)
+        others = [a for a in range(n) if math.gcd(a, n) != 1]
+        assert not s_tab[others].any() and not d_tab[others].any()
+        for a, (s, d) in zip(units, expected):
+            assert np.flatnonzero(s_tab[a]).tolist() == sorted(s)
+            assert np.flatnonzero(d_tab[a]).tolist() == sorted(d)
+        sums, diffs = sum_diff_cardinalities(n, units)
+        assert sums.tolist() == [len(s) for s, _ in expected]
+        assert diffs.tolist() == [len(d) for _, d in expected]
+    # 8192 takes 4 rows a block: nine unsorted rows, with repeats, span three
+    rows = [8191, 3, 5, 3, 4097, 1, 8191, 2049, 77]
+    expected = _reference_rows(8192, rows)
+    sums, diffs = sum_diff_cardinalities(8192, rows)
+    assert sums.tolist() == [len(s) for s, _ in expected]
+    assert diffs.tolist() == [len(d) for _, d in expected]
+    for n in (2, 1031, 8192):
+        empty = np.array([], dtype=np.int64)
+        assert [c.tolist() for c in sum_diff_cardinalities(n, empty)] == [[], []]
 
 
 def test_tables_reject_out_of_range():
