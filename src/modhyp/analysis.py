@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import _TRIAL_PRIMES, _jacobi, _sqrt_mod_pp_unchecked, _units
+from .arith import _TRIAL_PRIMES, _jacobi, _sqrt_mod_pp_unchecked
 from .arith import factorize, is_prime, primes_up_to
 from .cardinality import _FULL_COVERAGE_ABOVE, _counts, _counts_array
 from .hyperbola import (
@@ -26,6 +26,7 @@ from .hyperbola import (
     HyperbolaSpec,
     ResidueSet,
     _check_table_modulus,
+    _unit_tables,
     signed_sumset,
     sum_diff_cardinalities,
 )
@@ -588,7 +589,8 @@ def verify_sweep(max_pp: int, max_n: int | None = None) -> Iterator[tuple[int, i
     record (phase, cases, mismatch lines) per modulus, every prime power
     ascending, then every composite n.  Each modulus is checked with whole
     arrays: the class of each a indexes the closed-form counts, and the
-    oracle counts only the rows of the units checked.
+    oracle counts only the rows of the units checked, read with it from
+    the one cached unit table of the modulus (``_unit_tables``).
 
     A modulus over the 8192 table limit is refused (ValueError) before any
     check.
@@ -602,18 +604,14 @@ def verify_sweep(max_pp: int, max_n: int | None = None) -> Iterator[tuple[int, i
             q, t = q * p, t + 1
     max_n = max_n or 0
     # refuse an over-limit sweep before computing any of it
-    if pp:
-        _check_table_modulus(max(pp))
-    if max_n >= 2:
-        _check_table_modulus(max_n)
-    for q, (p, t) in sorted(pp.items()):
-        a = _units(q)
-        yield 0, len(a), _mismatches(q, a, f"q={p}^{t}: closed form")
+    _check_table_modulus(max([2, max_n, *pp]))  # 2 when nothing is swept
+    checks = [(0, q, f"q={p}^{t}: closed form") for q, (p, t) in sorted(pp.items())]
+    checks += [(1, n, f"n={n}: composed") for n in range(2, max_n + 1)]
     rng = random.Random(_SWEEP_SEED)
-    for n in range(2, max_n + 1):
-        a = _units(n)
-        if n > _SMALL_SWEEP_ALL_A:
+    for phase, n, label in checks:
+        a = _unit_tables(n)[0]
+        if phase and n > _SMALL_SWEEP_ALL_A:
             # sample's choices depend only on the population's length, so
             # drawing indices picks what drawing from the list would
             a = np.sort(a[rng.sample(range(len(a)), min(_SWEEP_SAMPLES, len(a)))])
-        yield 1, len(a), _mismatches(n, a, f"n={n}: composed")
+        yield phase, len(a), _mismatches(n, a, label)

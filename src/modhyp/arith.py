@@ -238,14 +238,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _units(n: int) -> np.ndarray:
-    """The units of n, ascending: 0..n-1 with the multiples of each prime of n cleared."""
-    coprime = np.ones(n, dtype=bool)
-    for p, _ in factorize(n).factors:
-        coprime[::p] = False
-    return np.flatnonzero(coprime)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol of a at the odd prime p: 1, -1, or 0 when p | a."""
     if p == 2 or not is_prime(p):

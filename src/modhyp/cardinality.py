@@ -150,7 +150,7 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
 
 
 def _counts_array(a: np.ndarray, p: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """_counts at each a of an int64 array of units at the prime p <= 8192,
+    """_counts at each a of an integer array of units at the prime p <= 8192,
     as the arrays (sums, diffs): one table, the count of each residue mod 8
     at p = 2 or mod p at odd p (by whether it is a square), read at a and -a."""
     if p == 2:

@@ -6,7 +6,7 @@ those point sets and the exact residue sets of their signed coordinate
 sums; it is the ground truth the closed-form counting code is checked
 against, so it never takes shortcuts through any counting identity.
 
-The single-a entry points form every point in one kernel, ``_fibre``.
+The single-a entry points form every point in one kernel, ``_blocks``.
 Fixing the head x_1, ..., x_{d-2} leaves the planar hyperbola x_{d-1} x_d = c
 with c = a (x_1 ... x_{d-2})^-1, whose points are (x, c x^-1) over all units
 x, so the hyperbola is a union of planar fibres.  Tuples are numbered
@@ -17,7 +17,7 @@ bounded by the block, not the hyperbola.
 The all-a planar tables (``sum_diff_tables``, ``sum_diff_cardinalities``)
 need one coordinate only, so ``_table_blocks`` forms y = a x^-1 directly,
 ``_BLOCK // phi(n)`` rows of a at a time, over index bases built once per
-modulus.  Through ``_fibre`` the same rows cost 1.15 to 1.5 times as much
+modulus.  Through ``_blocks`` the same rows cost 1.15 to 1.5 times as much
 a point (numpy 2.4, 2 cores), and precomputing only the bases there gained
 nothing.
 
@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import _pow_mod, _units, euler_phi
+from .arith import _pow_mod, euler_phi, factorize
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -50,7 +50,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**8
 _TABLE_LIMIT = 8192
-# the moduli the kernel takes: _pow_mod and the int64 products of _fibre
+# the moduli the kernel takes: _pow_mod and the int64 products of _blocks
 # need n < 2^31
 _MODULUS_LIMIT = 2**31
 # Cells per kernel call.  Fibres are whole within a block, so the early exit
@@ -166,12 +166,16 @@ class ResidueSet:
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned (units, inverses) arrays for modulus n; read-only.
 
-    int32 while a product of two residues fits it (n^2 < 2^31), which
-    halves the memory traffic of the kernel; int64 above.  The inverse of u
-    is u^(phi(n) - 1) (Euler), formed for all units at once.
+    The one place the units of a modulus are formed: 0..n-1 with the
+    multiples of each prime of n cleared.  int32 while a product of two
+    residues fits it (n^2 < 2^31), which halves the memory traffic of the
+    kernel; int64 above.  The inverse of u is u^(phi(n) - 1) (Euler).
     """
     dtype = np.int32 if n * n < 2**31 else np.int64
-    wide = _units(n)
+    coprime = np.ones(n, dtype=bool)
+    for p, _ in factorize(n).factors:
+        coprime[::p] = False
+    wide = np.flatnonzero(coprime)
     inv = _pow_mod(wide, len(wide) - 1, n).astype(dtype, copy=False)
     units = wide.astype(dtype, copy=False)
     units.setflags(write=False)
@@ -205,10 +209,13 @@ def _mod(v: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _fibre(
-    n: int, a: int, signs: tuple[int, ...], lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Constants c and signed sums b of the tuples lo..hi-1 of the constant a.
+def _blocks(
+    n: int, a: int, signs: tuple[int, ...], count: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Constants c and signed sums b of the tuples 0..count-1 of the
+    constant a, as (start, c, b) a block at a time: as many whole fibres
+    of phi(n) tuples as fit in ``_BLOCK``, else ``_BLOCK`` tuples of one
+    fibre.
 
     Tuple j is (x_1, ..., x_k) in lexicographic order, for k = len(signs)
     units x_l; its constant is a (x_1 ... x_k)^-1 and its sum is
@@ -218,34 +225,25 @@ def _fibre(
     """
     units, inv = _unit_tables(n)
     phi = len(units)
-    ranges = [(lo, hi)]  # the tuples needed at each length, longest first
-    for _ in signs:
-        lo, hi = ranges[-1]
-        ranges.append((lo // phi, (hi - 1) // phi + 1))
-    first, _ = ranges.pop()  # (0, 1): the empty tuple, whose constant is a
-    c, b = np.array([a], dtype=units.dtype), np.zeros(1, dtype=units.dtype)
-    for s, (lo, hi) in zip(signs, reversed(ranges)):
-        wanted = slice(lo - first * phi, hi - first * phi)
-        if len(c) == 1:  # one parent: extend it by only the units in range
-            x, x_inv, cut = units[wanted], inv[wanted], slice(None)
-        else:
-            x, x_inv, cut = units, inv, wanted
-        c = _mod(c[:, None] * x_inv, n).ravel()[cut]
-        b = (b[:, None] + s * x).ravel()[cut]
-        first = lo
-    return c, b
-
-
-def _blocks(
-    n: int, a: int, signs: tuple[int, ...], lo: int, hi: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(start, c, b) of ``_fibre`` over tuples lo..hi-1, a block at a time: as
-    many whole fibres of phi(n) tuples as fit in ``_BLOCK``, else ``_BLOCK``
-    tuples of one fibre.  lo starts a fibre or lies in the only one."""
-    units, _ = _unit_tables(n)
-    step = _BLOCK // len(units) * len(units) or _BLOCK
-    for start in range(lo, hi, step):
-        yield start, *_fibre(n, a, signs, start, min(start + step, hi))
+    step = _BLOCK // phi * phi or _BLOCK
+    for start in range(0, count, step):
+        # the tuples needed at each length, longest first
+        ranges = [(start, min(start + step, count))]
+        for _ in signs:
+            lo, hi = ranges[-1]
+            ranges.append((lo // phi, (hi - 1) // phi + 1))
+        first, _ = ranges.pop()  # (0, 1): the empty tuple, whose constant is a
+        c, b = np.array([a], dtype=units.dtype), np.zeros(1, dtype=units.dtype)
+        for s, (lo, hi) in zip(signs, reversed(ranges)):
+            wanted = slice(lo - first * phi, hi - first * phi)
+            if len(c) == 1:  # one parent: extend it by only the units in range
+                x, x_inv, cut = units[wanted], inv[wanted], slice(None)
+            else:
+                x, x_inv, cut = units, inv, wanted
+            c = _mod(c[:, None] * x_inv, n).ravel()[cut]
+            b = (b[:, None] + s * x).ravel()[cut]
+            first = lo
+        yield start, c, b
 
 
 def enumerate_points(
@@ -262,7 +260,7 @@ def enumerate_points(
 
 def _points(spec: HyperbolaSpec, count: int) -> Iterator[tuple[int, ...]]:
     units, _ = _unit_tables(spec.n)  # the points of the first count leading tuples
-    for start, last, _ in _blocks(spec.n, spec.a, spec.signs[:-1], 0, count):
+    for start, last, _ in _blocks(spec.n, spec.a, spec.signs[:-1], count):
         rest, lead = np.arange(start, start + len(last)), []
         for _ in range(spec.d - 1):  # base-phi digits of the tuple number
             rest, digit = np.divmod(rest, len(units))
@@ -279,7 +277,7 @@ def signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> ResidueS
     count = _checked_tuple_count(spec, budget)
     n, signs = spec.n, spec.signs
     mask = np.zeros(n, dtype=bool)
-    for _, c, b in _blocks(n, spec.a, signs[:-1], 0, count):
+    for _, c, b in _blocks(n, spec.a, signs[:-1], count):
         mask[_mod(b + signs[-1] * c, n)] = True
         if mask.all():
             break
@@ -352,19 +350,20 @@ def sum_diff_cardinalities(
     """|sumset| and |difference set| at each unit of the 1-D sequence of
     integers a, in order, each a taken modulo n; only their rows are formed.
 
-    An int64 array is reduced in numpy; any other input is reduced one
-    entry at a time, exactly, so ints past int64 are taken too.  An input
-    that is not 1-D, or an entry that is not an integer (``operator.index``
-    refuses it), is refused (ValueError).  The rows are counted a block at a
-    time and no table is kept, so memory past the two count arrays is O(n).
+    A signed-integer array of any width is reduced in numpy, as int64; any
+    other input (a list, or an unsigned array, whose entries may pass int64)
+    is reduced one entry at a time, exactly.  An input that is not 1-D, or
+    an entry that is not an integer (``operator.index`` refuses it), is
+    refused (ValueError).  The rows are counted a block at a time and no
+    table is kept, so memory past the two count arrays is O(n).
     """
     _check_table_modulus(n)
     a = a if isinstance(a, np.ndarray) else np.array(a, dtype=object)
     refusal = "a must be a 1-D sequence of integers"
     if a.ndim != 1:
         raise ValueError(refusal)
-    if a.dtype == np.int64:
-        a = a % n
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64, copy=False) % n
     else:
         try:
             a = np.array([operator.index(v) % n for v in a.tolist()], dtype=np.int64)

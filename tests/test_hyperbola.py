@@ -141,6 +141,7 @@ def test_enumerate_order_and_count():
         HyperbolaSpec(2, 2, 3, 20),
         HyperbolaSpec(3, 1, 2, 9),
         HyperbolaSpec(4, 2, 1, 6),
+        HyperbolaSpec(4, 2, 1, 75),  # 40^3 tuples, four blocks of 16,360
         HyperbolaSpec(1200, 3, 1, 2),  # one unit: every dimension fits the budget
     ]:
         pts = list(enumerate_points(spec))
@@ -198,6 +199,10 @@ def test_signed_sumset_matches_naive():
     # n = 331 (prime) is covered, so the scan stops after a few blocks
     cases.extend(HyperbolaSpec(3, m, 1, 339) for m in range(4))
     cases.append(HyperbolaSpec(3, 2, 5, 331))
+    # d = 4, n = 75: 40^3 tuples in four blocks of 16,360, whose edges fall
+    # inside the second coordinate's range; neither m covers Z/75, so every
+    # block is walked
+    cases += [HyperbolaSpec(4, 1, 1, 75), HyperbolaSpec(4, 3, 1, 75)]
     for spec in cases:
         assert set(signed_sumset(spec)) == naive_signed_sumset(spec), spec
 
@@ -388,11 +393,19 @@ def test_cardinalities_at_given_rows():
         assert s.tolist() == sums and d.tolist() == diffs
         s, d = sum_diff_cardinalities(n, [a - n for a in rows])
         assert s.tolist() == sums and d.tolist() == diffs
+        # any signed-integer width takes the numpy path; an unsigned array
+        # is reduced one entry at a time, exactly
+        for dtype in (np.int32, np.int16, np.uint64):
+            s, d = sum_diff_cardinalities(n, np.array(rows, dtype=dtype))
+            assert s.tolist() == sums and d.tolist() == diffs, dtype
     assert [c.tolist() for c in sum_diff_cardinalities(7, [])] == [[], []]
     with pytest.raises(ValueError, match="unit"):
         sum_diff_cardinalities(12, [1, 4])
     # any int is reduced exactly: 2^70 + 1 = 3 (mod 7), past int64
     assert [c.tolist() for c in sum_diff_cardinalities(7, [2**70 + 1])] == [[3], [4]]
+    # a uint64 entry past int64, 2^64 - 4 = 5 (mod 7)
+    big = sum_diff_cardinalities(7, np.array([2**64 - 4], dtype=np.uint64))
+    assert [c.tolist() for c in big] == [c.tolist() for c in sum_diff_cardinalities(7, [5])]
     for bad in ([1.5], np.array([1.5]), np.array([[1, 2]]), [[1, 2]], 3):
         with pytest.raises(ValueError, match="1-D sequence of integers"):
             sum_diff_cardinalities(7, bad)
