@@ -38,41 +38,6 @@ from .hyperbola import DEFAULT_BUDGET, HyperbolaSpec, enumerate_points, signed_s
 
 __all__ = ["build_parser", "main", "render_svg", "run", "write_reports"]
 
-_HEADERS = {
-    "dominance": ("a", "n", "c2", "c2_decimal", "classification"),
-    "card": ("a", "n", "d", "m", "p", "t", "count", "method", "total"),
-    "density": (
-        "a",
-        "x",
-        "threshold",
-        "eligible_count",
-        "dominant_count",
-        "empirical_density",
-        "empirical_decimal",
-        "class_constant",
-        "bound_truncated",
-        "bound_truncated_decimal",
-        "bound_rigorous",
-        "bound_rigorous_decimal",
-        "prime_limit",
-    ),
-    "primorial": (
-        "a",
-        "t",
-        "k",
-        "primorial",
-        "ratio_first_power",
-        "ratio_first_decimal",
-        "ratio_power_t",
-        "ratio_power_decimal",
-        "loglog",
-    ),
-    "coverage": ("a", "n", "d", "m", "covered", "guaranteed", "missing_count", "missing"),
-    "triple": ("b", "a", "p", "t", "modulus", "x1", "x2", "x3"),
-}
-_HEADERS["ratio"] = _HEADERS["dominance"]
-
-
 def _rat(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -82,7 +47,7 @@ def _dec(f: Fraction) -> str:
 
 
 # Each kind has two builders: one turns a report into its rows, tuples in the
-# column order of _HEADERS for its kind, the other into its table's lines.
+# column order of its header in _KINDS, the other into its table's lines.
 
 
 def _dominance_rows(w: DominanceWindow) -> list[tuple]:
@@ -93,14 +58,14 @@ def _dominance_rows(w: DominanceWindow) -> list[tuple]:
     ]
 
 
-def _dominance_table(w: DominanceWindow) -> str:
-    return "".join([f"n={n} c2={rat} ({dec}) {c}\n" for _, n, rat, dec, c in _dominance_rows(w)])
+def _dominance_table(w: DominanceWindow) -> list[str]:
+    return [f"n={n} c2={rat} ({dec}) {c}\n" for _, n, rat, dec, c in _dominance_rows(w)]
 
 
-def _ratio_table(w: DominanceWindow) -> str:
+def _ratio_table(w: DominanceWindow) -> list[str]:
     [(a, n, rat, dec, c)] = _dominance_rows(w)  # one row, then its prime powers' ratios
     powers = [f"  {p}^{t}: {_rat(Fraction(*_counts(w.a, p, t)))}\n" for p, t in factorize(n).factors]
-    return f"c2({a}; {n}) = {rat} ({dec})  {c}\n" + "".join(powers)
+    return [f"c2({a}; {n}) = {rat} ({dec})  {c}\n", *powers]
 
 
 def _card_rows(rep: CardinalityReport) -> list[tuple]:
@@ -111,9 +76,9 @@ def _card_rows(rep: CardinalityReport) -> list[tuple]:
     ]
 
 
-def _card_table(rep: CardinalityReport) -> str:
+def _card_table(rep: CardinalityReport) -> list[str]:
     lines = [f"{p}^{t}: {count}  [{method}]\n" for *_, p, t, count, method, _ in _card_rows(rep)]
-    return "".join(lines) + f"total {rep.total}\n"
+    return [*lines, f"total {rep.total}\n"]
 
 
 def _density_rows(r: DensityReport) -> list[tuple]:
@@ -136,14 +101,14 @@ def _density_rows(r: DensityReport) -> list[tuple]:
     ]
 
 
-def _density_table(r: DensityReport) -> str:
-    return (
+def _density_table(r: DensityReport) -> list[str]:
+    return [
         f"eligible {r.eligible_count}, above threshold {r.dominant_count}, "
-        f"empirical density {_rat(r.empirical_density)} ({_dec(r.empirical_density)})\n"
+        f"empirical density {_rat(r.empirical_density)} ({_dec(r.empirical_density)})\n",
         f"class constant {_rat(r.class_constant)}, truncated bound "
         f"{_dec(r.bound_truncated)}, rigorous bound {_dec(r.bound_rigorous)} "
-        f"(primes up to {r.prime_limit})\n"
-    )
+        f"(primes up to {r.prime_limit})\n",
+    ]
 
 
 def _primorial_rows(rep: PrimorialReport) -> list[tuple]:
@@ -163,11 +128,11 @@ def _primorial_rows(rep: PrimorialReport) -> list[tuple]:
     ]
 
 
-def _primorial_table(rep: PrimorialReport) -> str:
-    return "".join(
+def _primorial_table(rep: PrimorialReport) -> list[str]:
+    return [
         f"k={k} N={n} c2={first} ({first_dec}) c2^t={power} ({power_dec}) loglog={loglog}\n"
         for _, _, k, n, first, first_dec, power, power_dec, loglog in _primorial_rows(rep)
-    )
+    ]
 
 
 def _coverage_rows(r: CoverageReport) -> list[tuple]:
@@ -186,10 +151,10 @@ def _coverage_rows(r: CoverageReport) -> list[tuple]:
     ]
 
 
-def _coverage_table(r: CoverageReport) -> str:
+def _coverage_table(r: CoverageReport) -> list[str]:
     state = "covered" if r.covered else "NOT covered"
-    missing = "missing: " + " ".join(str(v) for v in r.missing) + "\n" if r.missing else ""
-    return f"{state}; guaranteed={'yes' if r.guaranteed else 'no'}\n{missing}"
+    missing = ["missing: " + " ".join(str(v) for v in r.missing) + "\n"] if r.missing else []
+    return [f"{state}; guaranteed={'yes' if r.guaranteed else 'no'}\n", *missing]
 
 
 def _triple_rows(r: tuple[int, int, int, int, tuple[int, int, int]]) -> list[tuple]:
@@ -197,67 +162,94 @@ def _triple_rows(r: tuple[int, int, int, int, tuple[int, int, int]]) -> list[tup
     return [(b, a, p, t, p**t, *triple)]
 
 
-def _triple_table(r: tuple[int, int, int, int, tuple[int, int, int]]) -> str:
+def _triple_table(r: tuple[int, int, int, int, tuple[int, int, int]]) -> list[str]:
     [(*_, q, x1, x2, x3)] = _triple_rows(r)
     checks = f"sum={(x1 + x2 + x3) % q} product={x1 * x2 * x3 % q}\n"
-    return f"x1={x1} x2={x2} x3={x3} (mod {q})\n" + checks
+    return [f"x1={x1} x2={x2} x3={x3} (mod {q})\n", checks]
 
 
-_BUILDERS = {
-    "dominance": (_dominance_rows, _dominance_table),
-    "ratio": (_dominance_rows, _ratio_table),
-    "card": (_card_rows, _card_table),
-    "density": (_density_rows, _density_table),
-    "primorial": (_primorial_rows, _primorial_table),
-    "coverage": (_coverage_rows, _coverage_table),
-    "triple": (_triple_rows, _triple_table),
+_DOMINANCE_HEADER = ("a", "n", "c2", "c2_decimal", "classification")
+_KINDS = {
+    "dominance": (_DOMINANCE_HEADER, _dominance_rows, _dominance_table),
+    "ratio": (_DOMINANCE_HEADER, _dominance_rows, _ratio_table),
+    "card": (("a", "n", "d", "m", "p", "t", "count", "method", "total"), _card_rows, _card_table),
+    "density": (
+        (
+            "a",
+            "x",
+            "threshold",
+            "eligible_count",
+            "dominant_count",
+            "empirical_density",
+            "empirical_decimal",
+            "class_constant",
+            "bound_truncated",
+            "bound_truncated_decimal",
+            "bound_rigorous",
+            "bound_rigorous_decimal",
+            "prime_limit",
+        ),
+        _density_rows,
+        _density_table,
+    ),
+    "primorial": (
+        (
+            "a",
+            "t",
+            "k",
+            "primorial",
+            "ratio_first_power",
+            "ratio_first_decimal",
+            "ratio_power_t",
+            "ratio_power_decimal",
+            "loglog",
+        ),
+        _primorial_rows,
+        _primorial_table,
+    ),
+    "coverage": (
+        ("a", "n", "d", "m", "covered", "guaranteed", "missing_count", "missing"),
+        _coverage_rows,
+        _coverage_table,
+    ),
+    "triple": (("b", "a", "p", "t", "modulus", "x1", "x2", "x3"), _triple_rows, _triple_table),
 }
 
 
 def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     """Stream a homogeneous sequence of reports to out as a table, CSV or a JSON array.
 
-    Reports are consumed one at a time, the first before any write, and the
-    lines of each are written in one out.write as soon as they are built, so
-    a generator of reports is never held in memory, and one that raises at
-    its first report writes nothing.  A table has no header.  CSV starts
-    with the fixed header for the report kind.  JSON is an array of objects
-    keyed by that header, every value a string, byte-identical to json.dumps
-    of the list of those objects with indent=2, plus a newline.  An empty
-    stream gives a header-only CSV (or "[]").  Row order follows input
-    order, so output is byte-deterministic.  A "dominance" report is a
-    DominanceWindow, of any number of rows, none included; a "ratio" report
-    is a one-row DominanceWindow, whose table adds the ratio at each prime
-    power.  A "triple" report is the tuple (b, a, p, t, (x1, x2, x3)) of a
-    solve_sum_product call.
+    Each report's rows (or table lines) are built when it is reached, and
+    _write_joined writes the lines or JSON objects 4096 at a time, so memory
+    holds one report's rows and one batch; a stream that raises at its first
+    report writes nothing.  A table has no header.  CSV starts with the fixed header for
+    the report kind.  JSON is an array of objects keyed by that header, every
+    value a string, byte-identical to json.dumps of the list of those objects
+    with indent=2, plus a newline.  An empty stream gives a header-only CSV
+    (or "[]").  Row order follows input order, so output is byte-deterministic.
+    A "dominance" report is a DominanceWindow, of any number of rows, none
+    included; a "ratio" report is a one-row DominanceWindow, whose table adds
+    the ratio at each prime power.  A "triple" report is the tuple
+    (b, a, p, t, (x1, x2, x3)) of a solve_sum_product call.
     """
-    header = _HEADERS[kind]
-    build, table = _BUILDERS[kind]
-    reports = iter(reports)
-    reports = itertools.chain(list(itertools.islice(reports, 1)), reports)
+    header, rows, table = _KINDS[kind]
     if fmt == "table":
-        for rep in reports:
-            out.write(table(rep))
+        _write_joined(itertools.chain.from_iterable(map(table, reports)), out)
     elif fmt == "csv":
         # no builder yields a value holding , " \r or \n, so %s needs no
-        # quoting and gives csv.writer's bytes; one write per report
+        # quoting and gives csv.writer's bytes
         line = ",".join(["%s"] * len(header)) + "\n"
-        out.write(line % header)
-        for rep in reports:
-            out.write("".join([line % row for row in build(rep)]))
+        _write_joined((line % row for rep in reports for row in rows(rep)), out, line % header)
     elif fmt == "json":
-        # the layout json.dumps gives the whole list at indent=2, written
-        # one report at a time; a str is escaped by json.dumps's own encoder
+        # the layout json.dumps gives the whole list at indent=2; a str is
+        # escaped by json.dumps's own encoder
         obj = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in header) + "\n  }"
         encode = json.encoder.encode_basestring_ascii
-        sep = "[\n"
-        for rep in reports:
-            objs = []
-            for row in build(rep):
-                objs.append(sep + obj % tuple([encode(str(v)) for v in row]))
-                sep = ",\n"
-            out.write("".join(objs))
-        out.write("[]\n" if sep == "[\n" else "\n]\n")
+        objs = (obj % tuple(map(encode, map(str, row))) for rep in reports for row in rows(rep))
+        if (first := next(objs, None)) is None:  # the one layout without "[\n"
+            out.write("[]\n")
+        else:
+            _write_joined(itertools.chain([first], objs), out, "[\n", ",\n", "\n]\n")
     else:
         raise ValueError(f"unsupported report format {fmt!r}")
 
@@ -433,12 +425,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _write_joined(map(str, rows), sys.stdout, head, ", ", "]}\n")
     elif args.points:
         line = ("," if args.format == "csv" else " ").join(["%s"] * spec.d) + "\n"
-        if args.format == "csv":
-            sys.stdout.write(line % tuple(f"x{i}" for i in range(1, spec.d + 1)))
-        _write_joined((line % pt for pt in rows), sys.stdout)
+        head = line % tuple(f"x{i}" for i in range(1, spec.d + 1)) if args.format == "csv" else ""
+        _write_joined((line % pt for pt in rows), sys.stdout, head)
     elif args.format == "csv":
-        sys.stdout.write("residue\n")
-        _write_joined((f"{v}\n" for v in rows), sys.stdout)
+        _write_joined((f"{v}\n" for v in rows), sys.stdout, "residue\n")
     else:
         head = f"cardinality {len(rows)} of modulus {spec.n}\n"
         _write_joined(map(str, rows), sys.stdout, head, " ", "\n")

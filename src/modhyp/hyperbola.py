@@ -183,12 +183,12 @@ def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return units, inv
 
 
-def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
-    """phi(n)^(d-1), formed one factor at a time: the first partial product
-    over the budget is refused, so a huge d never builds its full power.
-    The d - 1 coordinate steps are charged on top, _BLOCK each, and so is
-    the n-residue unit table.  A modulus within the budget but not below
-    _MODULUS_LIMIT is refused (ValueError)."""
+def _check_budget(spec: HyperbolaSpec, budget: int) -> None:
+    """Check phi(n)^(d-1), formed one factor at a time: the first partial
+    product over the budget is refused, so a huge d never builds its full
+    power.  The d - 1 coordinate steps are charged on top, _BLOCK each, and
+    so is the n-residue unit table.  A modulus within the budget but not
+    below _MODULUS_LIMIT is refused (ValueError)."""
     phi, count = euler_phi(spec.n), 1
     steps = spec.d - 1
     for _ in range(steps if phi > 1 else 0):
@@ -199,7 +199,6 @@ def _checked_tuple_count(spec: HyperbolaSpec, budget: int) -> int:
         raise EnumerationBudgetError(count, budget, steps, spec.n)
     if spec.n >= _MODULUS_LIMIT:
         raise ValueError(f"modulus n = {spec.n} must be below 2^31 (the oracle's int64 products)")
-    return count
 
 
 def _mod(v: np.ndarray, n: int) -> np.ndarray:
@@ -209,10 +208,8 @@ def _mod(v: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _blocks(
-    n: int, a: int, signs: tuple[int, ...], count: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Constants c and signed sums b of the tuples 0..count-1 of the
+def _blocks(n: int, a: int, signs: tuple[int, ...]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Constants c and signed sums b of the phi(n)^k tuples of the
     constant a, as (start, c, b) a block at a time: as many whole fibres
     of phi(n) tuples as fit in ``_BLOCK``, else ``_BLOCK`` tuples of one
     fibre.
@@ -225,6 +222,7 @@ def _blocks(
     """
     units, inv = _unit_tables(n)
     phi = len(units)
+    count = phi ** len(signs)
     step = _BLOCK // phi * phi or _BLOCK
     for start in range(0, count, step):
         # the tuples needed at each length, longest first
@@ -255,12 +253,13 @@ def enumerate_points(
     a times the inverse of their product.  The phi(n)^(d-1) leading tuples
     must fit the budget, checked at the call, before any point is formed.
     """
-    return _points(spec, _checked_tuple_count(spec, budget))
+    _check_budget(spec, budget)
+    return _points(spec)
 
 
-def _points(spec: HyperbolaSpec, count: int) -> Iterator[tuple[int, ...]]:
-    units, _ = _unit_tables(spec.n)  # the points of the first count leading tuples
-    for start, last, _ in _blocks(spec.n, spec.a, spec.signs[:-1], count):
+def _points(spec: HyperbolaSpec) -> Iterator[tuple[int, ...]]:
+    units, _ = _unit_tables(spec.n)  # the points, a block of leading tuples at a time
+    for start, last, _ in _blocks(spec.n, spec.a, spec.signs[:-1]):
         rest, lead = np.arange(start, start + len(last)), []
         for _ in range(spec.d - 1):  # base-phi digits of the tuple number
             rest, digit = np.divmod(rest, len(units))
@@ -274,10 +273,10 @@ def signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> ResidueS
     Stops early once every residue is attained (the set can only grow, so
     the answer is already final).
     """
-    count = _checked_tuple_count(spec, budget)
+    _check_budget(spec, budget)
     n, signs = spec.n, spec.signs
     mask = np.zeros(n, dtype=bool)
-    for _, c, b in _blocks(n, spec.a, signs[:-1], count):
+    for _, c, b in _blocks(n, spec.a, signs[:-1]):
         mask[_mod(b + signs[-1] * c, n)] = True
         if mask.all():
             break

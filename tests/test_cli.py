@@ -29,7 +29,7 @@ from modhyp.analysis import (
 )
 from modhyp.arith import euler_phi, primes_up_to
 from modhyp.cardinality import _counts_array, card_S2_pp, card_signed_sumset, ratio_c2
-from modhyp.cli import _BUILDERS, build_parser, render_svg, run, write_reports
+from modhyp.cli import _KINDS, build_parser, render_svg, run, write_reports
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points, sum_diff_cardinalities
 
 
@@ -208,21 +208,42 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+# one input per streamed command, each writing far more than a pipe holds
+_CLOSED_STDOUT_CASES = [
+    (
+        ["scan", "--a", "11", "--max-n", "200000", "--format", "csv"],
+        [b"a,n,c2,c2_decimal,classification\n", b"11,2,1/1,1.000000,balanced\n"],
+    ),
+    (
+        ["enumerate", "--a", "1", "--n", "1000003", "--points", "--format", "csv"],
+        [b"x1,x2\n", b"1,1\n"],
+    ),
+    (
+        ["plot", "--a", "1", "--n", "1000003", "--out", "-"],
+        [
+            b'<?xml version="1.0" encoding="UTF-8"?>\n',
+            b'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+            b'viewBox="0 0 1000003 1000003">\n',
+        ],
+    ),
+]
+
+
 def test_closed_stdout_exits_1_without_traceback():
     env = _subprocess_env()
-    argv = ["scan", "--a", "11", "--max-n", "200000", "--format", "csv"]
-    with subprocess.Popen(
-        [sys.executable, "-m", "modhyp", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
-        head = [proc.stdout.readline() for _ in range(2)]
-        proc.stdout.close()  # the reader goes away, as with `| head -2`
-        _, err = proc.communicate(timeout=60)
-    assert head == [b"a,n,c2,c2_decimal,classification\n", b"11,2,1/1,1.000000,balanced\n"]
-    assert b"Traceback" not in err
-    assert proc.returncode == 1
+    for argv, expected in _CLOSED_STDOUT_CASES:
+        with subprocess.Popen(
+            [sys.executable, "-m", "modhyp", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()  # the reader goes away, as with `| head -2`
+            _, err = proc.communicate(timeout=60)
+        assert head == expected, argv[0]
+        assert b"Traceback" not in err, argv[0]
+        assert proc.returncode == 1, argv[0]
 
 
 def test_budget_exhaustion_exits_2():
@@ -759,26 +780,32 @@ def _sample_reports(kind):
     return [(*a, solve_sum_product(*a)) for a in args]
 
 
+def _expected_bytes(kind, reports):
+    # the CSV of csv.writer and the JSON of json.dumps over the reference
+    # rows of the reports, and the number of those rows
+    header = list(_REFERENCE_ROWS[kind](_sample_reports(kind)[0])[0])
+    rows = [row for rep in reports for row in _REFERENCE_ROWS[kind](rep)]
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[k] for k in header] for row in rows)
+    return {"csv": expected_csv.getvalue(), "json": json.dumps(rows, indent=2) + "\n"}, len(rows)
+
+
 @pytest.mark.parametrize("count", [0, 1, 3])
 @pytest.mark.parametrize(
     "kind", ["dominance", "ratio", "card", "density", "primorial", "coverage", "triple"]
 )
 def test_write_reports_streams_expected_bytes(kind, count):
     samples = _sample_reports(kind)
-    header = list(_REFERENCE_ROWS[kind](samples[0])[0])
-    rows = [row for rep in samples[:count] for row in _REFERENCE_ROWS[kind](rep)]
-    expected_csv = io.StringIO()
-    writer = csv.writer(expected_csv, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([row[k] for k in header] for row in rows)
-
+    expected, _ = _expected_bytes(kind, samples[:count])
     out = io.StringIO()
     # a generator: the writer must consume the reports in a single pass
     assert write_reports(iter(samples[:count]), "csv", kind, out) is None
-    assert out.getvalue() == expected_csv.getvalue()
+    assert out.getvalue() == expected["csv"]
     out = io.StringIO()
     write_reports(iter(samples[:count]), "json", kind, out)
-    assert out.getvalue() == json.dumps(rows, indent=2) + "\n"
+    assert out.getvalue() == expected["json"]
 
 
 def test_write_reports_rejects_unknown_format():
@@ -789,25 +816,42 @@ def test_write_reports_rejects_unknown_format():
 
 
 class _CountingIO(io.StringIO):
-    """A StringIO that counts the calls to its write."""
+    """A StringIO that counts the calls to its write and keeps the first."""
 
     writes = 0
+    first = None
 
     def write(self, s):
+        if not self.writes:
+            self.first = s
         self.writes += 1
         return super().write(s)
 
 
-@pytest.mark.parametrize("kind", list(_BUILDERS))
-def test_write_reports_writes_once_per_report(kind):
-    # the CSV header or the JSON closing bracket, then one write per report,
-    # empty or not; a table has neither
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_write_reports_writes_4096_pieces_per_call(kind, fmt):
+    # every format goes through _write_joined: the CSV header or "[\n" with
+    # the first 4096 lines or objects, one write per further 4096, and the
+    # closing "\n]\n" in a write of its own; an empty stream still makes
+    # one write, the bare header, "" or "[]\n"
     samples = _sample_reports(kind)
-    for fmt, extra in (("table", 0), ("csv", 1), ("json", 1)):
-        for count in (0, 1, 3):
-            out = _CountingIO()
-            write_reports(iter(samples[:count]), fmt, kind, out)
-            assert out.writes == count + extra, (fmt, count)
+    streams = [samples[:count] for count in (0, 1, 3)]
+    if kind == "dominance":
+        # one report of 5,000 rows crosses a batch inside the report
+        streams.append([_window(11, [n for n in range(2, 5600) if n % 11][:5000])])
+    for reports in streams:
+        expected, rows = _expected_bytes(kind, reports)
+        out = _CountingIO()
+        write_reports(iter(reports), fmt, kind, out)
+        # a piece is a table line, a CSV row or a JSON object
+        pieces = sum(len(_KINDS[kind][2](rep)) for rep in reports) if fmt == "table" else rows
+        writes = max(1, math.ceil(pieces / 4096)) + (fmt == "json" and rows > 0)
+        assert out.writes == writes, len(reports)
+        # the first write holds the first batch, exactly, after the CSV header
+        piece_end = "\n  }" if fmt == "json" else "\n"
+        assert out.first.count(piece_end) == min(pieces, 4096) + (fmt == "csv"), len(reports)
+        assert fmt == "table" or out.getvalue() == expected[fmt], len(reports)
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -820,21 +864,14 @@ def test_write_reports_writes_nothing_when_first_report_raises(fmt):
     assert (out.writes, out.getvalue()) == (0, "")
 
 
-@pytest.mark.parametrize("kind", list(_BUILDERS))
+@pytest.mark.parametrize("kind", list(_KINDS))
 def test_built_fields_need_no_csv_quoting(kind):
     # the CSV line template writes each field with %s, unquoted: csv.writer
     # would quote a field holding any of these
     for rep in _sample_reports(kind):
-        for row in _BUILDERS[kind][0](rep):
+        for row in _KINDS[kind][1](rep):
             for v in row:
                 assert not set(str(v)) & set(',"\r\n'), (kind, v)
-
-
-def test_scan_table_writes_once_per_window():
-    out = _CountingIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        assert run(["scan", "--a", "1019", "--max-n", "20000"]) == 0
-    assert out.writes == len(list(analysis.dominance_scan(1019, 20000))) == 3
 
 
 # ---------------------------------------------------------------- byte pins
@@ -953,10 +990,10 @@ def test_enumerate_writes_4096_rows_per_call():
     # phi(10007) = 10006 points; the sumset of x + 1/x has (p + 1) / 2 members
     size = len(modhyp.signed_sumset(HyperbolaSpec(2, 2, 1, 10007)))
     for extra, fmt, writes in (
-        (["--points"], "csv", 1 + 3),
+        (["--points"], "csv", 3),
         (["--points"], "table", 3),
         (["--points"], "json", 3 + 1),
-        ([], "csv", 1 + math.ceil(size / 4096)),
+        ([], "csv", math.ceil(size / 4096)),
     ):
         out = _CountingIO()
         argv = ["enumerate", "--a", "1", "--n", "10007", "--format", fmt, *extra]

@@ -14,7 +14,7 @@ from modhyp.hyperbola import (
     EnumerationBudgetError,
     HyperbolaSpec,
     ResidueSet,
-    _checked_tuple_count,
+    _check_budget,
     _unit_tables,
     enumerate_points,
     signed_sumset,
@@ -255,14 +255,14 @@ def test_modulus_bound_precedes_any_table(monkeypatch):
     monkeypatch.setattr(modhyp.hyperbola, "_unit_tables", no_tables)
     spec = HyperbolaSpec(2, 2, 1, 2**31)
     with pytest.raises(ValueError, match=r"below 2\^31"):
-        _checked_tuple_count(spec, 10**12)
+        _check_budget(spec, 10**12)
     for enumerate_ in (signed_sumset, lambda s, budget: list(enumerate_points(s, budget))):
         with pytest.raises(ValueError, match=r"below 2\^31"):
             enumerate_(spec, budget=10**12)
     with pytest.raises(ValueError, match=r"below 2\^31"):
         sum_diff_sets(1, 2**31, budget=10**12)
     with pytest.raises(EnumerationBudgetError):
-        _checked_tuple_count(HyperbolaSpec(2, 2, 1, 2**31 - 1), DEFAULT_BUDGET)
+        _check_budget(HyperbolaSpec(2, 2, 1, 2**31 - 1), DEFAULT_BUDGET)
     with pytest.raises(EnumerationBudgetError):
         signed_sumset(HyperbolaSpec(2, 2, 1, 2**31 - 1))
 
