@@ -232,6 +232,8 @@ def write_reports(reports: Iterable, fmt: str, kind: str, out: TextIO) -> None:
     the ratio at each prime power.  A "triple" report is the tuple
     (b, a, p, t, (x1, x2, x3)) of a solve_sum_product call.
     """
+    if kind not in _KINDS:
+        raise ValueError(f"unsupported report kind {kind!r}")
     header, rows, table = _KINDS[kind]
     if fmt == "table":
         _write_joined(itertools.chain.from_iterable(map(table, reports)), out)
@@ -341,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, *flags):
-        # every command parses --threads, which none reads, and only those
-        # of the other shared flags that its handler reads
+    def command(name, handler, summary, *flags, kind=None):
+        # every command parses --threads, which none reads, and only the other
+        # shared flags it reads; with a kind, run writes the handler's report
         p = sub.add_parser(name, parents=[threads, *flags], help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, kind=kind)
         return p
 
     p = command("enumerate", _cmd_enumerate, "emit points or the signed sumset", budget, fmt)
@@ -355,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", action="store_true", help="emit points instead of the sumset")
 
-    p = command("card", _cmd_card, "cardinality report with per-factor methods", budget, fmt)
+    p = command("card", _cmd_card, "cardinality report with per-factor methods", budget, fmt, kind="card")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=None)
 
-    p = command("ratio", _cmd_ratio, "dominance ratio with classification", fmt)
+    p = command("ratio", _cmd_ratio, "dominance ratio with classification", fmt, kind="ratio")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -374,23 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--L", type=_rational_arg, default=None, help="emit only ratios above this")
 
-    p = command("density", _cmd_density, "dominance density and lower bounds", fmt)
+    p = command("density", _cmd_density, "dominance density and lower bounds", fmt, kind="density")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--L", type=_rational_arg, default=Fraction(1))
 
-    p = command("primorial", _cmd_primorial, "ratio series along 3-mod-4 primorials", fmt)
+    p = command("primorial", _cmd_primorial, "ratio series along 3-mod-4 primorials", fmt, kind="primorial")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
 
-    p = command("coverage", _cmd_coverage, "attained residues for d >= 3", budget, fmt)
+    p = command("coverage", _cmd_coverage, "attained residues for d >= 3", budget, fmt, kind="coverage")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = command("solve3", _cmd_solve3, "one verified sum-product triple", fmt)
+    p = command("solve3", _cmd_solve3, "one verified sum-product triple", fmt, kind="triple")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -435,18 +437,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_card(args: argparse.Namespace) -> int:
+def _cmd_card(args: argparse.Namespace) -> CardinalityReport:
     m = args.m if args.m is not None else args.d
-    rep = card_signed_sumset(HyperbolaSpec(args.d, m, args.a, args.n), budget=args.budget)
-    write_reports([rep], args.format, "card", sys.stdout)
-    return 0
+    return card_signed_sumset(HyperbolaSpec(args.d, m, args.a, args.n), budget=args.budget)
 
 
-def _cmd_ratio(args: argparse.Namespace) -> int:
+def _cmd_ratio(args: argparse.Namespace) -> DominanceWindow:
     c2 = ratio_c2(args.a, args.n).value
     row = [args.n], [c2.numerator], [c2.denominator], [classify(c2)]
-    write_reports([DominanceWindow(args.a, *row)], args.format, "ratio", sys.stdout)
-    return 0
+    return DominanceWindow(args.a, *row)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -470,28 +469,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
-    rep = density_report(args.a, args.max_n, threshold=args.L)
-    write_reports([rep], args.format, "density", sys.stdout)
-    return 0
+def _cmd_density(args: argparse.Namespace) -> DensityReport:
+    return density_report(args.a, args.max_n, threshold=args.L)
 
 
-def _cmd_primorial(args: argparse.Namespace) -> int:
-    rep = primorial_series(args.a, args.k_max, t=args.t)
-    write_reports([rep], args.format, "primorial", sys.stdout)
-    return 0
+def _cmd_primorial(args: argparse.Namespace) -> PrimorialReport:
+    return primorial_series(args.a, args.k_max, t=args.t)
 
 
-def _cmd_coverage(args: argparse.Namespace) -> int:
-    rep = coverage_check(HyperbolaSpec(args.d, args.m, args.a, args.n), budget=args.budget)
-    write_reports([rep], args.format, "coverage", sys.stdout)
-    return 0
+def _cmd_coverage(args: argparse.Namespace) -> CoverageReport:
+    return coverage_check(HyperbolaSpec(args.d, args.m, args.a, args.n), budget=args.budget)
 
 
-def _cmd_solve3(args: argparse.Namespace) -> int:
+def _cmd_solve3(args: argparse.Namespace) -> tuple[int, int, int, int, tuple[int, int, int]]:
     params = args.b, args.a, args.p, args.t
-    write_reports([(*params, solve_sum_product(*params))], args.format, "triple", sys.stdout)
-    return 0
+    return (*params, solve_sum_product(*params))
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -517,7 +509,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        if args.kind is None:
+            return args.handler(args)
+        write_reports([args.handler(args)], args.format, args.kind, sys.stdout)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -647,6 +647,23 @@ def test_scan_json_parses():
     assert all(set(r) == {"a", "n", "c2", "c2_decimal", "classification"} for r in rows)
 
 
+def test_scan_summary_follows_its_last_row():
+    # the skipped count is known only once the sieve is done, so scan prints
+    # it after its rows; the 2,729 lines go out in one write, more than the
+    # stream buffer holds, so the order shows whether or not stdout buffers
+    proc = subprocess.run(
+        [sys.executable, "-m", "modhyp", "scan", "--a", "11", "--max-n", "3000", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    lines = proc.stdout.decode().splitlines()
+    assert proc.returncode == 0
+    assert lines[-1] == "skipped 272 moduli sharing a factor with a=11"
+    assert [line for line in lines if line.startswith("skipped")] == lines[-1:]
+
+
 # ---------------------------------------------------------------- write_reports
 
 
@@ -809,10 +826,12 @@ def test_write_reports_streams_expected_bytes(kind, count):
 
 
 def test_write_reports_rejects_unknown_format():
-    out = io.StringIO()
-    with pytest.raises(ValueError):
-        write_reports([], "xml", "dominance", out)
-    assert out.getvalue() == ""
+    # an unknown kind is refused like an unknown format, before any write
+    for fmt, kind in (("xml", "dominance"), ("csv", "nope"), ("xml", "nope")):
+        out = _CountingIO()
+        with pytest.raises(ValueError, match="unsupported report"):
+            write_reports(_sample_reports("dominance"), fmt, kind, out)
+        assert out.writes == 0, (fmt, kind)
 
 
 class _CountingIO(io.StringIO):
@@ -981,6 +1000,22 @@ def test_stream_peak_memory_per_residue(argv, bound):
         finally:
             tracemalloc.stop()
     assert peak / n < bound
+
+
+# ---------------------------------------------------------------- README examples
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
+    # every `modhyp ...` line of the README, its comment stripped as
+    # sed 's/ *#.*//' does, run in a scratch directory (plot writes a file)
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        examples = [re.sub(" *#.*", "", line).split() for line in f if line.startswith("modhyp ")]
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for words in examples:
+        assert run_cli(words[1:])[0] == 0, words
+    assert (tmp_path / "h.svg").is_file()
 
 
 # ---------------------------------------------------------------- enumerate
