@@ -372,7 +372,6 @@ def density_report(
     a: int,
     x: int,
     threshold: Fraction | int = 1,
-    prime_limit: int = _BOUND_PRIME_LIMIT,
 ) -> DensityReport:
     """Empirical dominance density among eligible moduli up to x.
 
@@ -398,7 +397,7 @@ def density_report(
         eligible += int(np.count_nonzero(den))
         dominant += int(np.count_nonzero(above(num, den)))
     constant = dominance_class_constant(a)
-    primes = np.array(primes_up_to(prime_limit), dtype=np.int64)
+    primes = np.array(primes_up_to(prime_limit := _BOUND_PRIME_LIMIT), dtype=np.int64)
     primes = primes[primes & 3 == 3]
     ps = primes[_prime_ratios(a, primes, True)[1] > 0].tolist()  # symbol +1
     # V = constant * prod (1 - 1/p^2) in fixed point: each of the len(ps) + 1

@@ -222,7 +222,7 @@ def factorize(n: int) -> PrimeFactorization:
         stack = [n]
         while stack:
             m = stack.pop()
-            if is_prime(m):
+            if m in counts or is_prime(m):  # a prime found before is not proven again
                 counts[m] = counts.get(m, 0) + 1
             else:
                 d = _brent_rho(m)
@@ -255,15 +255,13 @@ def _legendre_unchecked(a: int, p: int) -> int:
 
 def _sqrt_mod_odd_prime(a: int, p: int) -> int | None:
     """One square root of a unit a modulo an odd prime p, or None (Tonelli-Shanks)."""
-    a %= p
     if _legendre_unchecked(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    q = p - 1
+    s = (q & -q).bit_length() - 1
+    q >>= s
     z = 2
     while _legendre_unchecked(z, p) != -1:
         z += 1
@@ -279,6 +277,16 @@ def _sqrt_mod_odd_prime(a: int, p: int) -> int | None:
     return r
 
 
+def _check_prime_power(a: int, p: int, t: int) -> None:
+    """Refuse t < 1, then a p that is not prime, then an a not a unit at p."""
+    if t < 1:
+        raise ValueError("exponent t must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if math.gcd(a, p) != 1:
+        raise ValueError(f"a = {a} must be a unit at p = {p}")
+
+
 def sqrt_mod_pp(a: int, p: int, t: int) -> list[int]:
     """All x in [0, p^t) with x^2 = a (mod p^t), for gcd(a, p) = 1.
 
@@ -289,12 +297,7 @@ def sqrt_mod_pp(a: int, p: int, t: int) -> list[int]:
     Odd p lifts a Tonelli-Shanks root by Newton iteration; p = 2 lifts
     bit by bit from the residue 1 modulo 8.
     """
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"a = {a} must be coprime to p = {p}")
+    _check_prime_power(a, p, t)
     return _sqrt_mod_pp_unchecked(a, p, t)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import _legendre_unchecked, factorize, is_prime
+from .arith import _check_prime_power, _legendre_unchecked, factorize
 from .hyperbola import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -140,12 +140,7 @@ def card_S2_pp(a: int, p: int, t: int) -> int:
     Divisibility of each formula is checked, so a non-integral branch value
     can never escape.
     """
-    if t < 1:
-        raise ValueError("exponent t must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if math.gcd(a, p) != 1:
-        raise ValueError(f"a = {a} must be a unit at p = {p}")
+    _check_prime_power(a, p, t)
     return _counts(a, p, t)[0]
 
 
@@ -204,7 +199,8 @@ def card_signed_sumset(spec: HyperbolaSpec, budget: int = DEFAULT_BUDGET) -> Car
 
 def ratio_c2_pp(a: int, p: int, t: int) -> Fraction:
     """Per-prime-power dominance ratio |sumset| / |difference set|."""
-    return Fraction(card_S2_pp(a, p, t), card_S2_pp(-a, p, t))
+    _check_prime_power(a, p, t)
+    return Fraction(*_counts(a, p, t))
 
 
 def ratio_c2(a: int, n: int) -> RatioValue:

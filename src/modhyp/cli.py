@@ -465,6 +465,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     skipped: list[int] = []
     windows = dominance_scan(args.a, args.max_n, threshold=args.L, skipped=skipped)
     write_reports(windows, args.format, "dominance", sys.stdout)
+    sys.stdout.flush()  # the summary follows the last row in a merged stream
     print(f"skipped {sum(skipped)} moduli sharing a factor with a={args.a}", file=sys.stderr)
     return 0
 

@@ -162,7 +162,7 @@ class ResidueSet:
         return f"ResidueSet(mod {self.modulus}, {len(self)} members)"
 
 
-@lru_cache(maxsize=1)  # the last modulus only: no table outlives the call charged for it
+@lru_cache(maxsize=1)  # the last modulus only: its tables live until a call at another replaces them
 def _unit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Aligned (units, inverses) arrays for modulus n; read-only.
 

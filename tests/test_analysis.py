@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import modhyp.analysis as analysis
+import modhyp.arith as arith
 import modhyp.cardinality as cardinality
 from modhyp.analysis import (
     BALANCED,
@@ -174,6 +175,7 @@ def test_range_studies_across_windows(monkeypatch, window):
     # many small windows, or three of the real size: window edges, powers
     # that straddle them and cofactors left for the vectorized t = 1 factor
     monkeypatch.setattr(analysis, "_WINDOW", window)
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 100)
     x = 3 * window - 7 if window > 97 else 2000
     for a in (-7,) if window > 97 else (12, -7, 1019, 3 * 10**40 + 7):
         ratios = {n: ratio_c2(a, n).value for n in range(1, x + 1) if math.gcd(a, n) == 1}
@@ -183,7 +185,7 @@ def test_range_studies_across_windows(monkeypatch, window):
         assert sum(skipped) == x - len(ratios)
         eligible = [c2 for n, c2 in ratios.items() if _eligible(a, n)]
         for threshold in (1, Fraction(10**30 - 1, 10**30), Fraction(4, 3)):
-            rep = density_report(a, x, threshold=threshold, prime_limit=100)
+            rep = density_report(a, x, threshold=threshold)
             assert rep.eligible_count == len(eligible)
             assert rep.dominant_count == sum(c2 > threshold for c2 in eligible)
 
@@ -226,8 +228,9 @@ def test_ratio_sieve_proves_no_prime_again(monkeypatch):
         raise AssertionError("proved a prime of the sieve again")
 
     monkeypatch.setattr(analysis, "ratio_c2_pp", refuse, raising=False)
-    for name in ("ratio_c2_pp", "card_S2_pp", "is_prime"):
+    for name in ("ratio_c2_pp", "card_S2_pp"):
         monkeypatch.setattr(cardinality, name, refuse)
+    monkeypatch.setattr(arith, "is_prime", refuse)
     assert list(dominance_scan(11, 5000)) == scan
     assert density_report(4, 5000) == density
 
@@ -333,8 +336,9 @@ def test_class_constant_table():
     assert dominance_class_constant(7) == Fraction(15, 16)
 
 
-def test_density_report_small():
-    rep = density_report(4, 2000, prime_limit=1000)
+def test_density_report_small(monkeypatch):
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 1000)
+    rep = density_report(4, 2000)
     # eligible = all odd n (4 is a square at every odd prime)
     assert rep.eligible_count == 1000
     assert 0 <= rep.empirical_density <= 1
@@ -352,12 +356,15 @@ def _floored_bounds(a, prime_limit):
     return tuple(Fraction(math.floor(f * 10**12), 10**12) for f in (v, v * tail))
 
 
-def test_density_bounds_equal_exact_floors():
+def test_density_bounds_equal_exact_floors(monkeypatch):
+    # density_report reads _BOUND_PRIME_LIMIT at each call and reports it
     for a in (1, 2, 3, 5, 9, -7, 11, 1019, 4036036, 4 * 1009**2, 3 * 10**40 + 7):
         for prime_limit in (1, 2, 3, 5, 7, 8, 100, 1000, 10**4, 10**5):
-            rep = density_report(a, 2, prime_limit=prime_limit)
+            monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", prime_limit)
+            rep = density_report(a, 2)
             got = rep.bound_truncated, rep.bound_rigorous
             assert got == _floored_bounds(a, prime_limit), (a, prime_limit)
+            assert rep.prime_limit == prime_limit
 
 
 def test_density_bounds_on_twelve_decimal_numbers(monkeypatch):
@@ -373,7 +380,8 @@ def test_density_bounds_on_twelve_decimal_numbers(monkeypatch):
 
     monkeypatch.setattr(analysis, "math", Math())
     # ps = [3]: 63/64 * 8/9 = 7/8 and 7/8 * 4/5 = 7/10, exact in fixed point
-    rep = density_report(1, 2, prime_limit=5)
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 5)
+    rep = density_report(1, 2)
     assert (rep.bound_truncated, rep.bound_rigorous, products) == (
         Fraction(7, 8),
         Fraction(7, 10),
@@ -381,16 +389,18 @@ def test_density_bounds_on_twelve_decimal_numbers(monkeypatch):
     )
     # symbol +1 at 3 and 7 only, below 50: 63/64 * 8/9 * 48/49 = 6/7, and
     # the tail 49/50 gives 21/25, which the fixed point straddles
-    rep = density_report(1009, 2, prime_limit=50)
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 50)
+    rep = density_report(1009, 2)
     assert rep.bound_rigorous == Fraction(21, 25) and products
     assert (rep.bound_truncated, rep.bound_rigorous) == _floored_bounds(1009, 50)
 
 
-def test_density_eligibility_excludes_nonresidues():
+def test_density_eligibility_excludes_nonresidues(monkeypatch):
     # at a = 3: the prime 7 is 3 mod 4 with symbol(3, 7) = -1, so no
     # multiple of 7 is eligible
     assert legendre(3, 7) == -1
-    rep = density_report(3, 500, prime_limit=100)
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 100)
+    rep = density_report(3, 500)
     manual = 0
     for n in range(1, 501):
         if math.gcd(3, n) != 1:
@@ -411,12 +421,13 @@ def test_density_eligibility_excludes_nonresidues():
 
 
 @pytest.mark.parametrize("a", (4, *_SIEVE_AS))
-def test_density_counts_threshold(a):
+def test_density_counts_threshold(monkeypatch, a):
+    monkeypatch.setattr(analysis, "_BOUND_PRIME_LIMIT", 100)
     eligible = {n: ratio_c2(a, n).value for n in range(1, 2001) if _eligible(a, n)}
     for x in (2, 3, 100, 300, 2000):
         ratios = [c2 for n, c2 in eligible.items() if n <= x]
         for threshold in _THRESHOLDS:
-            rep = density_report(a, x, threshold=threshold, prime_limit=100)
+            rep = density_report(a, x, threshold=threshold)
             dominant = sum(c2 > threshold for c2 in ratios)
             assert rep.eligible_count == len(ratios), (x, threshold)
             assert rep.dominant_count == dominant, (x, threshold)

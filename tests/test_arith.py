@@ -179,7 +179,7 @@ def test_sqrt_examples():
 
 
 def test_sqrt_rejects_shared_factor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a = 10 must be a unit at p = 5$"):
         sqrt_mod_pp(10, 5, 2)
 
 

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modhyp.arith as arith
 import modhyp.cardinality as cardinality
-from modhyp.arith import euler_phi, factorize, legendre, primes_up_to
+from modhyp.arith import euler_phi, factorize, is_prime, legendre, primes_up_to
 from modhyp.cardinality import (
     METHOD_CLOSED_FORM_ODD,
     METHOD_CLOSED_FORM_P2,
@@ -244,11 +246,31 @@ def test_proven_factorizations_are_not_proven_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("proved a prime of a proven factorization again")
 
-    monkeypatch.setattr(cardinality, "is_prime", refuse)
+    monkeypatch.setattr(arith, "is_prime", refuse)
     monkeypatch.setattr(cardinality, "card_S2_pp", refuse)
     for a, (ratio, reports) in expected.items():
         assert ratio_c2(a, n) == ratio
         assert [card_signed_sumset(HyperbolaSpec(2, m, a, n)) for m in (1, 2)] == reports
+
+
+def test_each_prime_is_proven_once(monkeypatch):
+    # the checked ratio proves p once for its two counts, and factorize
+    # counts a prime that rho splits off again without proving it again
+    ratio = Fraction(card_S2_pp(11, 10007, 3), card_S2_pp(-11, 10007, 3))
+    proofs = collections.Counter()
+
+    def counted(m):
+        proofs[m] += 1
+        return is_prime.__wrapped__(m)
+
+    for module in (arith, cardinality):  # wherever the name may be bound
+        monkeypatch.setattr(module, "is_prime", counted, raising=False)
+    assert ratio_c2_pp(11, 10007, 3) == ratio
+    assert proofs[10007] == 1
+    proofs.clear()
+    n = 1000003**2 * (2**31 - 1)
+    assert factorize.__wrapped__(n).factors == ((1000003, 2), (2**31 - 1, 1))
+    assert proofs[1000003] == proofs[2**31 - 1] == 1
 
 
 def test_factor_product_order_invariant():

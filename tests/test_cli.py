@@ -203,9 +203,12 @@ def test_cached_parser_matches_fresh_parsers():
 
 
 def _subprocess_env():
+    # the child buffers stdout as users' runs do, whatever the runner exports
     src = os.path.dirname(os.path.dirname(modhyp.__file__))
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 # one input per streamed command, each writing far more than a pipe holds
@@ -649,19 +652,21 @@ def test_scan_json_parses():
 
 def test_scan_summary_follows_its_last_row():
     # the skipped count is known only once the sieve is done, so scan prints
-    # it after its rows; the 2,729 lines go out in one write, more than the
-    # stream buffer holds, so the order shows whether or not stdout buffers
-    proc = subprocess.run(
-        [sys.executable, "-m", "modhyp", "scan", "--a", "11", "--max-n", "3000", "--format", "csv"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=_subprocess_env(),
-        timeout=60,
-    )
-    lines = proc.stdout.decode().splitlines()
-    assert proc.returncode == 0
-    assert lines[-1] == "skipped 272 moduli sharing a factor with a=11"
-    assert [line for line in lines if line.startswith("skipped")] == lines[-1:]
+    # it after its rows: at 3000 the 2,729 lines go out in one write, more
+    # than the stream buffer holds, and at 30 the rows fit the buffer, which
+    # scan must flush before the summary
+    for max_n, skipped in (("30", 2), ("3000", 272)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "modhyp", "scan", "--a", "11", "--max-n", max_n, "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=_subprocess_env(),
+            timeout=60,
+        )
+        lines = proc.stdout.decode().splitlines()
+        assert proc.returncode == 0, max_n
+        assert lines[-1] == f"skipped {skipped} moduli sharing a factor with a=11", max_n
+        assert [line for line in lines if line.startswith("skipped")] == lines[-1:], max_n
 
 
 # ---------------------------------------------------------------- write_reports
@@ -783,11 +788,10 @@ def _sample_reports(kind):
         specs = [HyperbolaSpec(2, 2, 1, 360), HyperbolaSpec(2, 1, 5, 8), HyperbolaSpec(3, 3, 1, 35)]
         return [card_signed_sumset(s) for s in specs]
     if kind == "density":
-        return [
-            density_report(4, 500),
-            density_report(11, 300, threshold=Fraction(3, 2)),
-            density_report(3, 200, prime_limit=1000),
-        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BOUND_PRIME_LIMIT", 1000)
+            limited = density_report(3, 200)
+        return [density_report(4, 500), density_report(11, 300, threshold=Fraction(3, 2)), limited]
     if kind == "primorial":
         return [primorial_series(4, 2), primorial_series(25, 3, t=3), primorial_series(4, 1)]
     if kind == "coverage":
